@@ -70,6 +70,14 @@ class ExperimentConfig:
         unknown = set(self.losses) - set(scorer_mod.LOSS_KINDS)
         if unknown:
             raise ValueError(f"unknown losses: {sorted(unknown)}")
+        # a rank-D kernel gives every set of more than D items probability
+        # zero, so each set-likelihood numerator must fit in the rank
+        if "cdsl" in self.losses and self.kernel_dim < self.L + self.T:
+            raise ValueError(
+                f"cdsl needs kernel_dim >= L+T = {self.L + self.T}, got {self.kernel_dim}"
+            )
+        if "dsl" in self.losses and self.kernel_dim < self.T:
+            raise ValueError(f"dsl needs kernel_dim >= T = {self.T}, got {self.kernel_dim}")
         return self
 
     def dump(self) -> str:

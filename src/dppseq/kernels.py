@@ -125,6 +125,15 @@ def identity_kernel(n_items: int) -> DiversityKernelLowRank:
     return DiversityKernelLowRank(np.eye(n_items), normalized=True)
 
 
+def qualities_from_raw(raw_scores) -> np.ndarray:
+    """q = exp(r/2) of raw scores clamped to +-RAW_SCORE_CLAMP, elementwise
+    over an array of any shape; non-finite scores raise ValueError."""
+    raw = np.asarray(raw_scores, dtype=float)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw scores must be finite")
+    return np.exp(np.clip(raw, -RAW_SCORE_CLAMP, RAW_SCORE_CLAMP) / 2.0)
+
+
 @dataclass(frozen=True)
 class QualityVector:
     """Raw model scores and their positive quality transform q = exp(r/2)."""
@@ -135,10 +144,7 @@ class QualityVector:
     @classmethod
     def from_raw_scores(cls, raw_scores: Sequence[float]) -> "QualityVector":
         raw = np.asarray(raw_scores, dtype=float)
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("raw scores must be finite")
-        clamped = np.clip(raw, -RAW_SCORE_CLAMP, RAW_SCORE_CLAMP)
-        return cls(raw_scores=raw, qualities=np.exp(clamped / 2.0))
+        return cls(raw_scores=raw, qualities=qualities_from_raw(raw))
 
     @property
     def clamp_active(self) -> np.ndarray:
@@ -198,14 +204,18 @@ def log_det_psd(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> float:
     matrix = _check_symmetric(matrix)
     if matrix.shape[0] == 0:
         return 0.0
+    return 2.0 * float(np.sum(np.log(np.diag(_cholesky_jittered(matrix, jitter)))))
+
+
+def _cholesky_jittered(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
+    """Lower Cholesky factor, with one diagonal-jitter retry."""
     try:
-        chol = la.cholesky(matrix, lower=True)
+        return la.cholesky(matrix, lower=True)
     except la.LinAlgError:
         try:
-            chol = la.cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
+            return la.cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
         except la.LinAlgError as exc:
             raise SingularMatrixError("matrix indefinite even after jitter") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _log_det_or_neginf(matrix: np.ndarray) -> float:
@@ -282,6 +292,8 @@ def grad_quality(
     normalizer's identity mask.  Uses d log det(L_Y)/dr_i = 1 for i in Y and
     d log det(L + I_mask)/dq_i = 2 (K_sub Q B)_ii with B the inverse of the
     normalizer matrix, chained through q = exp(r/2).
+
+    This is the per-instance reference for `set_log_likelihood_batch`.
     """
     if kernel.base is None or kernel.qualities is None:
         raise ValueError("kernel must carry its base kernel and qualities")
@@ -294,15 +306,8 @@ def grad_quality(
 
     mask = np.ones(kernel.size)
     mask[obs] = 0.0
-    denom = kernel.matrix + np.diag(mask)
-    try:
-        chol = la.cho_factor(denom, lower=True)
-    except la.LinAlgError:
-        try:
-            chol = la.cho_factor(denom + DEFAULT_JITTER * np.eye(kernel.size), lower=True)
-        except la.LinAlgError as exc:
-            raise SingularMatrixError("normalizer matrix indefinite after jitter") from exc
-    inv_denom = la.cho_solve(chol, np.eye(kernel.size))
+    chol = _cholesky_jittered(kernel.matrix + np.diag(mask))
+    inv_denom = la.cho_solve((chol, True), np.eye(kernel.size))
 
     q = kernel.qualities.qualities
     # diag(K_sub Q B), computed without forming the product matrix
@@ -311,6 +316,91 @@ def grad_quality(
     grad[sel] -= 1.0
     grad[kernel.qualities.clamp_active] = 0.0
     return grad
+
+
+def set_log_likelihood_batch(
+    kernel: DiversityKernelLowRank,
+    items,
+    raw_scores,
+    n_selected: int,
+    n_observed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Set log-likelihoods of a stack of same-layout ground sets, and the
+    gradients of their negatives w.r.t. the raw scores.
+
+    Row b is the ground set `items[b]` (B x n catalog indices) scored by
+    `raw_scores[b]`.  The numerator set is the first `n_selected` positions
+    and the conditioned set the first `n_observed`, so the plain set
+    likelihood over targets + negatives is (T, 0) and the conditional one
+    over previous + targets + negatives is (P + T, P).  Row b's value is
+    log det(L_sel) - log det(L + I_mask), with I_mask the identity on the
+    positions past the conditioned prefix, as in `dsl_log_likelihood` and
+    `cdsl_log_likelihood`; its gradient is the one `grad_quality` gives.
+
+    One Cholesky factorization of the stacked numerator blocks and one of
+    the stacked normalizers give every log-det, and the inverse of the
+    normalizer's factor gives the gradient.  If any row fails to factor, the
+    stack is factored row by row under the per-instance rules: a singular
+    numerator gives -inf and a zero gradient (the row is to be skipped), and
+    a normalizer that fails even after one jitter retry raises
+    SingularMatrixError.  Returns (log-likelihoods (B,), gradients (B, n)).
+    """
+    items = np.asarray(items, dtype=np.intp)
+    raw = np.asarray(raw_scores, dtype=float)
+    if items.ndim != 2 or raw.shape != items.shape:
+        raise ValueError("items and raw scores must be matching (B, n) arrays")
+    n = items.shape[1]
+    if not 0 <= n_observed <= n_selected <= n or n_selected == 0:
+        raise ValueError("selected set must be a nonempty prefix holding the conditioned one")
+    if items.size and (items.min() < 0 or items.max() >= kernel.n_items):
+        raise ValueError("item index out of catalog range")
+    if np.any(np.diff(np.sort(items, axis=1), axis=1) == 0):
+        raise ValueError("ground-set item indices must be distinct")
+    q = qualities_from_raw(raw)
+    rows = kernel.factors[items]
+    base = rows @ rows.transpose(0, 2, 1)
+    matrix = base * (q[:, :, None] * q[:, None, :])
+    mask = np.ones(n)
+    mask[:n_observed] = 0.0
+    denom = matrix + np.diag(mask)
+    try:
+        num = _log_det_of_factor(np.linalg.cholesky(matrix[:, :n_selected, :n_selected]))
+        chol = np.linalg.cholesky(denom)
+    except np.linalg.LinAlgError:
+        num, chol = _factor_rows(matrix, denom, n_selected)
+    # The row norms s of chol are sqrt(diag(denom)), so chol / s is the
+    # factor of the unit-diagonal S^-1 denom S^-1: its inverse is accurate
+    # whatever the spread of the qualities, and B = S^-1 inv_scaled S^-1.
+    s = np.linalg.norm(chol, axis=2)
+    inv_chol = np.linalg.inv(chol / s[:, :, None])
+    inv_scaled = inv_chol.transpose(0, 2, 1) @ inv_chol
+    # q_i (K_sub Q B)_ii = r_i (K_sub R inv_scaled)_ii with r = q / s
+    r = q / s
+    grad = r * np.einsum("bij,bj,bji->bi", base, r, inv_scaled)
+    grad[:, :n_selected] -= 1.0
+    grad[np.abs(raw) >= RAW_SCORE_CLAMP] = 0.0
+    skipped = num == -np.inf
+    grad[skipped] = 0.0
+    return np.where(skipped, -np.inf, num - _log_det_of_factor(chol)), grad
+
+
+def _log_det_of_factor(chol: np.ndarray) -> np.ndarray:
+    """log det of each C C^T in a stack of triangular factors C."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _factor_rows(
+    matrix: np.ndarray, denom: np.ndarray, n_selected: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row factoring for `set_log_likelihood_batch`: numerator
+    log-dets (-inf when singular) and normalizer factors (the identity on
+    rows whose numerator is singular)."""
+    num = np.array([_log_det_or_neginf(m[:n_selected, :n_selected]) for m in matrix])
+    chol = np.zeros_like(denom)
+    chol[:] = np.eye(denom.shape[-1])
+    for b in np.flatnonzero(num > -np.inf):
+        chol[b] = _cholesky_jittered(denom[b])
+    return num, chol
 
 
 def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -> float:

@@ -24,19 +24,31 @@ class OracleReport:
 
 
 def cofactor_det(matrix: np.ndarray) -> float:
-    """Determinant by Laplace expansion along the first row. O(n!)."""
+    """Determinant by Laplace expansion along the first row.
+
+    The minor of rows r.. and a set of remaining columns is expanded along
+    row r, and memoised on those columns (r is n minus their count), so each
+    of the 2^n minors is summed once, in the same order as the plain
+    recursion: O(n 2^n) in place of O(n!).
+    """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if n == 0:
         return 1.0
-    if n == 1:
-        return float(a[0, 0])
-    total = 0.0
-    cols = list(range(n))
-    for j in range(n):
-        minor = a[1:][:, [c for c in cols if c != j]]
-        total += ((-1.0) ** j) * a[0, j] * cofactor_det(minor)
-    return total
+    memo: dict[tuple[int, ...], float] = {}
+
+    def minor(cols: tuple[int, ...]) -> float:
+        row = n - len(cols)
+        if len(cols) == 1:
+            return float(a[row, cols[0]])
+        if cols not in memo:
+            total = 0.0
+            for j, c in enumerate(cols):
+                total += ((-1.0) ** j) * a[row, c] * minor(cols[:j] + cols[j + 1 :])
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def oracle_dpp_distribution(kernel: SequenceKernel) -> dict[frozenset, float]:

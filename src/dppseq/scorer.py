@@ -19,7 +19,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .data import SequenceInstance, SplitResult
-from .kernels import DiversityKernelLowRank, GroundSet
+from .kernels import DiversityKernelLowRank
 from .metrics import MetricTable, evaluate_ranking_fn, ndcg_at, rank_candidates
 
 log = logging.getLogger(__name__)
@@ -53,11 +53,15 @@ def init_params(n_users: int, n_items: int, d: int = 32, seed: int = 0) -> Score
     )
 
 
-def _context(params: ScorerParams, user: int, previous: Sequence[int]) -> np.ndarray:
-    if len(previous) == 0:
+_TABLES = ("user_emb", "item_in_emb", "item_out_emb", "item_bias")
+
+
+def _contexts(params: ScorerParams, users: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """(B, d) contexts: user embedding plus mean input embedding of the
+    previous items, from (B,) users and (B, P) previous items."""
+    if previous.shape[1] == 0:
         raise ValueError("previous item list must be nonempty")
-    prev = np.asarray(previous, dtype=int)
-    return params.user_emb[user] + params.item_in_emb[prev].mean(axis=0)
+    return params.user_emb[users] + params.item_in_emb[previous].mean(axis=1)
 
 
 def score(
@@ -65,37 +69,145 @@ def score(
 ) -> np.ndarray:
     """Relevance scores of `candidates` given the user's recent items."""
     cand = np.asarray(candidates, dtype=int)
+    prev = np.asarray(previous, dtype=int)
     if user < 0 or user >= params.user_emb.shape[0]:
         raise ValueError("user index out of range")
-    for idx in (np.asarray(previous, dtype=int), cand):
+    for idx in (prev, cand):
         if idx.size and (idx.min() < 0 or idx.max() >= params.item_out_emb.shape[0]):
             raise ValueError("item index out of range")
-    c = _context(params, user, previous)
+    c = _contexts(params, np.array([user]), prev.reshape(1, -1))[0]
     return params.item_out_emb[cand] @ c + params.item_bias[cand]
 
 
 @dataclass
 class _Grads:
-    user_emb: dict = field(default_factory=dict)  # sparse: index -> d-vector
-    item_in_emb: dict = field(default_factory=dict)
-    item_out_emb: dict = field(default_factory=dict)
-    item_bias: dict = field(default_factory=dict)
+    """Dense gradient accumulators, one per parameter table, allocated on
+    first use.  `apply` updates and zeroes only the rows that `add` touched,
+    so a batch costs its own rows, not the size of the tables."""
 
-    def _add(self, table: dict, idx: int, value) -> None:
-        if idx in table:
-            table[idx] = table[idx] + value
-        else:
-            table[idx] = np.array(value, dtype=float)
+    user_emb: np.ndarray | None = None
+    item_in_emb: np.ndarray | None = None
+    item_out_emb: np.ndarray | None = None
+    item_bias: np.ndarray | None = None
+    touched: dict = field(default_factory=dict)  # table name -> index arrays
+
+    def add(self, params: ScorerParams, name: str, idx: np.ndarray, value) -> None:
+        if self.user_emb is None:
+            for table in _TABLES:
+                setattr(self, table, np.zeros_like(getattr(params, table)))
+        np.add.at(getattr(self, name), idx, value)
+        self.touched.setdefault(name, []).append(idx.ravel())
 
     def apply(self, params: ScorerParams, lr: float, scale: float) -> None:
-        for idx, g in sorted(self.user_emb.items()):
-            params.user_emb[idx] -= lr * scale * g
-        for idx, g in sorted(self.item_in_emb.items()):
-            params.item_in_emb[idx] -= lr * scale * g
-        for idx, g in sorted(self.item_out_emb.items()):
-            params.item_out_emb[idx] -= lr * scale * g
-        for idx, g in sorted(self.item_bias.items()):
-            params.item_bias[idx] -= lr * scale * g
+        step = lr * scale
+        for name, idx in self.touched.items():
+            rows = np.unique(np.concatenate(idx))
+            grad = getattr(self, name)
+            getattr(params, name)[rows] -= step * grad[rows]
+            grad[rows] = 0.0
+        self.touched.clear()
+
+
+@dataclass
+class _Stack:
+    """Instances of one layout (P previous, T targets, Z negatives), one per row."""
+
+    users: np.ndarray  # (B,)
+    previous: np.ndarray  # (B, P)
+    targets: np.ndarray  # (B, T)
+    negatives: np.ndarray  # (B, Z)
+
+    def take(self, rows) -> "_Stack":
+        return _Stack(self.users[rows], self.previous[rows], self.targets[rows], self.negatives[rows])
+
+
+def _stack(params: ScorerParams, instances: Sequence[SequenceInstance]) -> _Stack:
+    """Stack same-layout instances, checking their indices against the tables."""
+    B = len(instances)
+    stack = _Stack(
+        users=np.array([i.user for i in instances], dtype=np.intp),
+        previous=np.array([i.previous for i in instances], dtype=np.intp).reshape(B, -1),
+        targets=np.array([i.targets for i in instances], dtype=np.intp).reshape(B, -1),
+        negatives=np.array([i.negatives for i in instances], dtype=np.intp).reshape(B, -1),
+    )
+    if stack.users.min() < 0 or stack.users.max() >= params.user_emb.shape[0]:
+        raise ValueError("user index out of range")
+    for idx in (stack.previous, stack.targets, stack.negatives):
+        if idx.size and (idx.min() < 0 or idx.max() >= params.item_out_emb.shape[0]):
+            raise ValueError("item index out of range")
+    return stack
+
+
+def _stack_by_layout(
+    params: ScorerParams, instances: Sequence[SequenceInstance]
+) -> tuple[list[_Stack], np.ndarray, np.ndarray]:
+    """One stack per layout, plus each instance's stack and row within it."""
+    layouts: dict[tuple[int, int, int], int] = {}
+    group = np.array(
+        [
+            layouts.setdefault((len(i.previous), len(i.targets), len(i.negatives)), len(layouts))
+            for i in instances
+        ],
+        dtype=np.intp,
+    )
+    stacks = []
+    row = np.empty(len(instances), dtype=np.intp)
+    for g in range(len(layouts)):
+        members = np.flatnonzero(group == g)
+        stacks.append(_stack(params, [instances[i] for i in members]))
+        row[members] = np.arange(members.size)
+    return stacks, group, row
+
+
+def _stack_loss(
+    params: ScorerParams,
+    stack: _Stack,
+    loss_kind: str,
+    kernel: DiversityKernelLowRank | None,
+) -> tuple[losses_mod.LossBatch, np.ndarray, np.ndarray]:
+    """Losses and score gradients of every row of a stack, with the (B, n)
+    scored items the gradients align with and the (B, d) contexts."""
+    P, T = stack.previous.shape[1], stack.targets.shape[1]
+    if loss_kind == "bpr":
+        # pair the k-th target with the k-th shared negative
+        if stack.negatives.shape[1] < T:
+            raise ValueError("bpr pairing needs at least as many negatives as targets")
+        scored = np.concatenate([stack.targets, stack.negatives[:, :T]], axis=1)
+    elif loss_kind == "cdsl":
+        scored = np.concatenate([stack.previous, stack.targets, stack.negatives], axis=1)
+    else:
+        scored = np.concatenate([stack.targets, stack.negatives], axis=1)
+    contexts = _contexts(params, stack.users, stack.previous)
+    s = np.einsum("bnd,bd->bn", params.item_out_emb[scored], contexts)
+    s += params.item_bias[scored]
+    if loss_kind == "ce":
+        loss = losses_mod.ce_loss_batch(s[:, :T], s[:, T:])
+    elif loss_kind == "bpr":
+        loss = losses_mod.bpr_loss_batch(s[:, :T], s[:, T:])
+    elif loss_kind == "dsl":
+        loss = losses_mod.dsl_loss_batch(kernel, scored, s, T)
+    elif loss_kind == "cdsl":
+        loss = losses_mod.cdsl_loss_batch(kernel, scored, s, P, T)
+    else:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    return loss, scored, contexts
+
+
+def _backprop(
+    params: ScorerParams,
+    users: np.ndarray,
+    previous: np.ndarray,
+    scored: np.ndarray,
+    contexts: np.ndarray,
+    grad_scores: np.ndarray,
+    grads: _Grads,
+) -> None:
+    """Accumulate d(loss)/d(params) for a stack, given d(loss)/d(scores)."""
+    grad_context = np.einsum("bn,bnd->bd", grad_scores, params.item_out_emb[scored])
+    grads.add(params, "user_emb", users, grad_context)
+    grads.add(params, "item_in_emb", previous, (grad_context / previous.shape[1])[:, None, :])
+    grads.add(params, "item_out_emb", scored, grad_scores[:, :, None] * contexts[:, None, :])
+    grads.add(params, "item_bias", scored, grad_scores)
 
 
 def backprop_scores(
@@ -107,17 +219,18 @@ def backprop_scores(
     grads: _Grads,
 ) -> None:
     """Accumulate d(loss)/d(params) given d(loss)/d(scores)."""
-    prev = np.asarray(previous, dtype=int)
-    cand = np.asarray(candidates, dtype=int)
-    g = np.asarray(grad_scores, dtype=float)
-    c = _context(params, user, previous)
-    grad_context = g @ params.item_out_emb[cand]
-    grads._add(grads.user_emb, user, grad_context)
-    for p in prev:
-        grads._add(grads.item_in_emb, int(p), grad_context / prev.size)
-    for i, gi in zip(cand, g):
-        grads._add(grads.item_out_emb, int(i), gi * c)
-        grads._add(grads.item_bias, int(i), gi)
+    users = np.array([user], dtype=np.intp)
+    prev = np.asarray(previous, dtype=np.intp).reshape(1, -1)
+    contexts = _contexts(params, users, prev)
+    _backprop(
+        params,
+        users,
+        prev,
+        np.asarray(candidates, dtype=np.intp).reshape(1, -1),
+        contexts,
+        np.asarray(grad_scores, dtype=float).reshape(1, -1),
+        grads,
+    )
 
 
 @dataclass
@@ -146,42 +259,8 @@ def instance_loss(
 ) -> tuple[losses_mod.LossResult, Sequence[int]]:
     """Loss value + score gradient for one instance; also returns the list of
     scored items the gradient aligns with."""
-    T = len(instance.targets)
-    if loss_kind == "ce":
-        scored = list(instance.targets) + list(instance.negatives)
-        s = score(params, instance.user, instance.previous, scored)
-        return losses_mod.ce_loss(s[:T], s[T:]), scored
-    if loss_kind == "bpr":
-        # pair the k-th target with the k-th shared negative
-        negatives = list(instance.negatives)[:T]
-        if len(negatives) < T:
-            raise ValueError("bpr pairing needs at least as many negatives as targets")
-        scored = list(instance.targets) + negatives
-        s = score(params, instance.user, instance.previous, scored)
-        return losses_mod.bpr_loss(s[:T], s[T:]), scored
-    if loss_kind == "dsl":
-        gs = GroundSet(
-            previous=(),
-            targets=instance.targets,
-            negatives=instance.negatives,
-            user=instance.user,
-            time_step=instance.time_step,
-        )
-        scored = list(gs.items)
-        s = score(params, instance.user, instance.previous, scored)
-        return losses_mod.dsl_loss(gs, s, kernel), scored
-    if loss_kind == "cdsl":
-        gs = GroundSet(
-            previous=instance.previous,
-            targets=instance.targets,
-            negatives=instance.negatives,
-            user=instance.user,
-            time_step=instance.time_step,
-        )
-        scored = list(gs.items)
-        s = score(params, instance.user, instance.previous, scored)
-        return losses_mod.cdsl_loss(gs, s, kernel), scored
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
+    loss, scored, _ = _stack_loss(params, _stack(params, [instance]), loss_kind, kernel)
+    return loss.row(0), scored[0].tolist()
 
 
 def train(
@@ -194,6 +273,8 @@ def train(
 ) -> tuple[ScorerParams, TrainLog]:
     """Mini-batch SGD with early stopping on validation NDCG@5.
 
+    Each minibatch is scored, differentiated and backpropagated as one stack
+    per instance layout, and the parameters change once, at its end.
     Returns the parameters from the best validation epoch.  Instances whose
     loss is non-finite (zero-probability sets) are skipped and counted; an
     epoch with more than 1% skips aborts training.
@@ -211,6 +292,8 @@ def train(
     best_val = -np.inf
     best_params = params.copy()
     since_improve = 0
+    stacks, group, row = _stack_by_layout(params, instances)
+    grads = _Grads()
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -220,20 +303,27 @@ def train(
         skipped = 0
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
-            grads = _Grads()
             used = 0
-            for idx in batch:
-                instance = instances[int(idx)]
-                result, scored = instance_loss(params, instance, loss_kind, kernel)
-                if result.skipped or not np.isfinite(result.value):
-                    skipped += 1
-                    continue
-                total_loss += result.value
-                counted += 1
-                used += 1
-                backprop_scores(
-                    params, instance.user, instance.previous, scored, result.grad_scores, grads
+            for g in np.unique(group[batch]):
+                members = batch[group[batch] == g]
+                stack = stacks[g].take(row[members])
+                loss, scored, contexts = _stack_loss(params, stack, loss_kind, kernel)
+                keep = ~loss.skipped & np.isfinite(loss.values)
+                for value in loss.values[keep]:
+                    total_loss += float(value)
+                n_kept = int(np.count_nonzero(keep))
+                skipped += keep.size - n_kept
+                used += n_kept
+                _backprop(
+                    params,
+                    stack.users[keep],
+                    stack.previous[keep],
+                    scored[keep],
+                    contexts[keep],
+                    loss.grad_scores[keep],
+                    grads,
                 )
+            counted += used
             if used:
                 grads.apply(params, config.learning_rate, 1.0 / used)
         if skipped > 0.01 * len(instances):
@@ -356,4 +446,6 @@ def load_params(path) -> ScorerParams:
     ):
         if arr.shape != shape:
             raise ValueError("parameter checkpoint shape does not match its header")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("parameter checkpoint holds non-finite values")
     return ScorerParams(user_emb=user_emb, item_in_emb=item_in, item_out_emb=item_out, item_bias=bias)

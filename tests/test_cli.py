@@ -73,6 +73,18 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             load_config(str(path), {})
 
+    def test_kernel_rank_below_set_size_rejected(self, tmp_path):
+        # cdsl's numerator covers L+T = 6+3 items, past a rank-8 kernel
+        path = tmp_path / "c.txt"
+        path.write_text("T=3\nkernel_dim=8\nlosses=ce,cdsl\n")
+        with pytest.raises(ValueError):
+            load_config(str(path), {})
+        path.write_text("T=3\nkernel_dim=2\nlosses=dsl\n")
+        with pytest.raises(ValueError):
+            load_config(str(path), {})
+        path.write_text("T=3\nkernel_dim=9\nlosses=dsl,cdsl\n")
+        assert load_config(str(path), {}).kernel_dim == 9
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(T=2, seed=1).resolve()
         b = ExperimentConfig(T=2, seed=1).resolve()
@@ -96,6 +108,25 @@ class TestExitCodes:
         assert main(["--config", str(config), "gen-sets"]) == 3
         assert main(["--config", str(config), "train", "--loss", "ce"]) == 3
         assert main(["--config", str(config), "report"]) == 3
+
+    def test_rank_deficient_kernel_is_config_error(self, tmp_path, small_dataset):
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, T=3)
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert not out.exists()
+
+    def test_nan_checkpoint_is_data_error(self, tmp_path, small_dataset):
+        from dppseq.scorer import load_params, save_params
+
+        config = config_file(tmp_path, small_dataset, tmp_path / "out")
+        base = ["--config", str(config)]
+        assert main(base + ["prepare"]) == 0
+        assert main(base + ["train", "--loss", "ce"]) == 0
+        checkpoint = tmp_path / "out" / "scorer_ce.txt"
+        params = load_params(checkpoint)
+        params.item_bias[1] = np.nan
+        save_params(checkpoint, params)
+        assert main(base + ["evaluate", "--loss", "ce"]) == 3
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -56,20 +56,7 @@ def unpack(flat, like):
 
 
 def grads_to_flat(grads, like):
-    dense = like.copy()
-    dense.user_emb = np.zeros_like(like.user_emb)
-    dense.item_in_emb = np.zeros_like(like.item_in_emb)
-    dense.item_out_emb = np.zeros_like(like.item_out_emb)
-    dense.item_bias = np.zeros_like(like.item_bias)
-    for idx, g in grads.user_emb.items():
-        dense.user_emb[idx] += g
-    for idx, g in grads.item_in_emb.items():
-        dense.item_in_emb[idx] += g
-    for idx, g in grads.item_out_emb.items():
-        dense.item_out_emb[idx] += g
-    for idx, g in grads.item_bias.items():
-        dense.item_bias[idx] += g
-    return pack(dense)
+    return pack(grads)
 
 
 class TestScore:
@@ -292,3 +279,11 @@ class TestCheckpoint:
         assert np.array_equal(loaded.item_in_emb, params.item_in_emb)
         assert np.array_equal(loaded.item_out_emb, params.item_out_emb)
         assert np.array_equal(loaded.item_bias, params.item_bias)
+
+    def test_non_finite_rejected(self, tmp_path):
+        params = init_params(4, 7, d=3, seed=11)
+        params.item_bias[1] = np.nan
+        path = tmp_path / "scorer.txt"
+        save_params(path, params)
+        with pytest.raises(ValueError):
+            load_params(path)
