@@ -14,11 +14,10 @@ from dppseq.kernels import (
     QualityVector,
     build_sequence_kernel,
     dsl_log_likelihood,
-    enumerate_normalizer,
 )
 from dppseq.kernel_learning import normalize_kernel
 from dppseq.kernels import DiversityKernelLowRank
-from dppseq.oracle import oracle_dpp_distribution, oracle_marginal
+from dppseq.oracle import enumerate_normalizer, oracle_dpp_distribution, oracle_marginal
 
 rng = np.random.default_rng(0)
 

@@ -22,9 +22,7 @@ from .kernels import (
     build_sequence_kernel,
     cdsl_log_likelihood,
     dsl_log_likelihood,
-    enumerate_normalizer,
     grad_quality,
-    identity_kernel,
     log_det_psd,
 )
 from .losses import LossResult, bpr_loss, cdsl_loss, ce_loss, dsl_loss
@@ -38,9 +36,7 @@ __all__ = [
     "build_sequence_kernel",
     "cdsl_log_likelihood",
     "dsl_log_likelihood",
-    "enumerate_normalizer",
     "grad_quality",
-    "identity_kernel",
     "log_det_psd",
     "LossResult",
     "bpr_loss",

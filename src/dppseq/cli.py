@@ -57,7 +57,6 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = (3, 5, 10)
     seed: int = 0
     out: str = "out"
-    threads: int = 1
 
     def resolve(self) -> "ExperimentConfig":
         L, Z = data_mod.default_lengths(self.T)
@@ -312,12 +311,9 @@ def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:
         log_.n_categories,
         N_list=config.n_list,
         loss_name=loss_kind,
-        threads=config.threads,
     )
     path = out / f"metrics_{loss_kind}.csv"
-    table.write_csv(path)
-    stamped = _stamp(config) + path.read_text()
-    path.write_text(stamped)
+    table.write_csv(path, _stamp(config))
     print(f"wrote {path}")
 
 
@@ -330,13 +326,7 @@ def cmd_report(config: ExperimentConfig) -> None:
         metrics_path = out / f"metrics_{loss_kind}.csv"
         if not metrics_path.exists():
             raise FileNotFoundError(f"{metrics_path} missing; run `evaluate` for {loss_kind}")
-        for line in metrics_path.read_text().splitlines():
-            if line.startswith("#") or line.startswith("loss,") or not line:
-                continue
-            loss, T, N, re, nd, cc, f = line.split(",")
-            rows.append(
-                MetricRow(loss, int(T), int(N), float(re), float(nd), float(cc), float(f))
-            )
+        rows += MetricTable.read_csv(metrics_path).rows
         tl_path = out / f"train_log_{loss_kind}.csv"
         if tl_path.exists():
             entries = [
@@ -352,10 +342,7 @@ def cmd_report(config: ExperimentConfig) -> None:
                 f"{loss_kind},{per_epoch:.3f},{best_epoch + 1},{per_epoch * (best_epoch + 1):.3f}"
             )
             curves.extend(f"{loss_kind},{e},{v:.6f}" for e, v in enumerate(ndcgs))
-    body = "loss,T,N,recall,ndcg,cc,f\n" + "\n".join(
-        f"{r.loss},{r.T},{r.N},{r.recall:.6f},{r.ndcg:.6f},{r.cc:.6f},{r.f:.6f}" for r in rows
-    )
-    _write_stamped(out / "report.csv", config, body + "\n")
+    MetricTable(rows).write_csv(out / "report.csv", _stamp(config))
     _write_stamped(out / "efficiency.csv", config, "\n".join(efficiency) + "\n")
     _write_stamped(out / "validation_curves.csv", config, "\n".join(curves) + "\n")
     print(f"wrote {out / 'report.csv'} ({len(rows)} rows)")
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("prepare")
@@ -388,7 +374,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(
             args.config,
-            {"seed": args.seed, "threads": args.threads, "out": args.out},
+            {"seed": args.seed, "out": args.out},
         )
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Dataset ingestion, k-core filtering, temporal splitting, and training
-instance construction.
+"""Dataset ingestion, k-core filtering, temporal splitting, training
+instance construction, and the checkpoint text format.
 
 Input CSV schema (header required):
     user_id,item_id,timestamp,categories
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -264,3 +264,35 @@ def write_split_manifest(path, split: SplitResult) -> None:
             fh.write(
                 f"{u}\t{len(split.train[u])}\t{len(split.valid[u])}\t{len(split.test[u])}\n"
             )
+
+
+def write_checkpoint(path, header: Sequence[int], arrays: Sequence[np.ndarray]) -> None:
+    """The one text format of the kernel and scorer checkpoints: one integer
+    per header line, which gives the shapes, then one line of `repr` floats
+    per row of each array, a 1-d array on a single line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{int(h)}\n" for h in header)
+        for array in arrays:
+            for row in np.atleast_2d(array):
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_checkpoint(
+    path, n_header: int, shapes: Callable[[list[int]], Sequence[tuple[int, ...]]]
+) -> tuple[list[int], list[np.ndarray]]:
+    """The header and the arrays of a checkpoint, with `shapes(header)` the
+    shape of each array.  Raises ValueError when an array does not have its
+    shape or holds a non-finite value."""
+    with open(path, encoding="utf-8") as fh:
+        header = [int(fh.readline()) for _ in range(n_header)]
+        arrays = []
+        for shape in shapes(header):
+            lines = [fh.readline() for _ in range(shape[0] if len(shape) == 2 else 1)]
+            rows = np.asarray([[float(v) for v in line.split()] for line in lines])
+            array = rows if len(shape) == 2 else rows[0]
+            if array.shape != tuple(shape):
+                raise ValueError(f"{path}: checkpoint shape does not match its header")
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{path}: checkpoint holds non-finite values")
+            arrays.append(array)
+    return header, arrays

@@ -88,7 +88,6 @@ def sample_negative_set(
     Falls back to a uniform draw over unseen items when a category has no
     unseen candidates left.
     """
-    unseen_pool = [i for i in all_items if i not in user_history]
     chosen: set[int] = set()
     for pos_item in sorted(positive):
         cats = sorted(positive_categories[pos_item])
@@ -100,7 +99,7 @@ def sample_negative_set(
                 if i not in user_history and i not in chosen
             )
         if not candidates:
-            candidates = [i for i in unseen_pool if i not in chosen]
+            candidates = [i for i in all_items if i not in user_history and i not in chosen]
             if not candidates:
                 raise ValueError("catalog exhausted while sampling a negative set")
             log.debug("category-matched pool empty; falling back to uniform unseen draw")

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as la
 
+from .data import read_checkpoint, write_checkpoint
 from .diverse_sets import PairedDiverseSets
 from .kernels import DiversityKernelLowRank
 
@@ -148,21 +149,12 @@ def normalize_kernel(
 
 
 def save_kernel(path, kernel: DiversityKernelLowRank) -> None:
-    """Checkpoint format: three header lines (rows, latent dim, normalized
-    flag) followed by one row of factor values per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{kernel.n_items}\n{kernel.latent_dim}\n{int(kernel.normalized)}\n")
-        for row in kernel.factors:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    """Checkpoint: header (rows, latent dim, normalized flag), then one row of
+    factor values per line."""
+    header = (kernel.n_items, kernel.latent_dim, int(kernel.normalized))
+    write_checkpoint(path, header, [kernel.factors])
 
 
 def load_kernel(path) -> DiversityKernelLowRank:
-    with open(path, encoding="utf-8") as fh:
-        n_items = int(fh.readline())
-        latent_dim = int(fh.readline())
-        normalized = bool(int(fh.readline()))
-        rows = [[float(v) for v in fh.readline().split()] for _ in range(n_items)]
-    factors = np.asarray(rows, dtype=float)
-    if factors.shape != (n_items, latent_dim):
-        raise ValueError("kernel checkpoint shape does not match its header")
-    return DiversityKernelLowRank(factors, normalized=normalized)
+    (_, _, normalized), (factors,) = read_checkpoint(path, 3, lambda h: [(h[0], h[1])])
+    return DiversityKernelLowRank(factors, normalized=bool(normalized))

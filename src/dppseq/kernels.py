@@ -11,7 +11,6 @@ on an observed set replaces I by an identity restricted to its complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -19,10 +18,6 @@ import scipy.linalg as la
 
 RAW_SCORE_CLAMP = 30.0
 DEFAULT_JITTER = 1e-6
-
-ROLE_PREVIOUS = "previous"
-ROLE_TARGET = "target"
-ROLE_NEGATIVE = "negative"
 
 
 class SingularMatrixError(Exception):
@@ -56,14 +51,6 @@ class GroundSet:
     @property
     def items(self) -> tuple[int, ...]:
         return self.previous + self.targets + self.negatives
-
-    @property
-    def roles(self) -> tuple[str, ...]:
-        return (
-            (ROLE_PREVIOUS,) * len(self.previous)
-            + (ROLE_TARGET,) * len(self.targets)
-            + (ROLE_NEGATIVE,) * len(self.negatives)
-        )
 
     @property
     def size(self) -> int:
@@ -118,11 +105,6 @@ class DiversityKernelLowRank:
 
     def full(self) -> np.ndarray:
         return self.factors @ self.factors.T
-
-
-def identity_kernel(n_items: int) -> DiversityKernelLowRank:
-    """Diagonal diversity kernel (no similarity structure); useful for tests."""
-    return DiversityKernelLowRank(np.eye(n_items), normalized=True)
 
 
 def qualities_from_raw(raw_scores) -> np.ndarray:
@@ -314,6 +296,9 @@ def grad_quality(
     diag_kqb = np.einsum("ij,j,ji->i", kernel.base, q, inv_denom)
     grad = q * diag_kqb
     grad[sel] -= 1.0
+    # exactly 0 at observed positions: P(Y | Y_obs) does not depend on their
+    # qualities (row and column i of L + I_mask scale with q_i)
+    grad[obs] = 0.0
     grad[kernel.qualities.clamp_active] = 0.0
     return grad
 
@@ -378,6 +363,7 @@ def set_log_likelihood_batch(
     r = q / s
     grad = r * np.einsum("bij,bj,bji->bi", base, r, inv_scaled)
     grad[:, :n_selected] -= 1.0
+    grad[:, :n_observed] = 0.0  # exactly, as in grad_quality
     grad[np.abs(raw) >= RAW_SCORE_CLAMP] = 0.0
     skipped = num == -np.inf
     grad[skipped] = 0.0
@@ -401,22 +387,3 @@ def _factor_rows(
     for b in np.flatnonzero(num > -np.inf):
         chol[b] = _cholesky_jittered(denom[b])
     return num, chol
-
-
-def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -> float:
-    """Brute-force sum of det(L_Y) over all subsets Y containing `required`.
-
-    With required empty this equals det(L + I).  Exponential in the ground-set
-    size; rejected above n = 15.
-    """
-    if kernel.size > 15:
-        raise ValueError("ground set too large for 2^n enumeration")
-    req = _validate_positions(kernel, required)
-    free = [p for p in range(kernel.size) if p not in set(req)]
-    total = 0.0
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            pos = np.asarray(sorted(set(req) | set(extra)), dtype=int)
-            sub = kernel.matrix[np.ix_(pos, pos)]
-            total += float(la.det(sub)) if pos.size else 1.0
-    return total

@@ -1,12 +1,11 @@
 """Top-N quality (recall, NDCG), diversity (category coverage), and
-harmonic trade-off metrics, plus the per-user evaluation loop."""
+harmonic trade-off metrics, plus the block top-N ranking they are taken on."""
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,81 +61,88 @@ class MetricRow:
     f: float
 
 
+_COLUMNS = ["loss", "T", "N", "recall", "ndcg", "cc", "f"]
+
+
 @dataclass
 class MetricTable:
     rows: list[MetricRow]
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, stamp: str) -> None:
+        """Write the stamp line, then the rows with 6 decimals per metric."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["loss", "T", "N", "recall", "ndcg", "cc", "f"])
+            fh.write(stamp)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_COLUMNS)
             for r in self.rows:
                 writer.writerow(
                     [r.loss, r.T, r.N, f"{r.recall:.6f}", f"{r.ndcg:.6f}", f"{r.cc:.6f}", f"{r.f:.6f}"]
                 )
 
+    @classmethod
+    def read_csv(cls, path) -> "MetricTable":
+        """Read a table that `write_csv` wrote, skipping its stamp."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            if next(reader, None) != _COLUMNS:
+                raise ValueError(f"{path} is not a metric table")
+            return cls([MetricRow(r[0], int(r[1]), int(r[2]), *map(float, r[3:])) for r in reader])
 
-def rank_candidates(scores: np.ndarray, candidates: np.ndarray) -> list[int]:
-    """Candidates sorted by descending score; ties broken by item index."""
-    order = np.lexsort((candidates, -scores))
-    return [int(candidates[i]) for i in order]
+
+def rank_candidates(
+    scores: np.ndarray, exclude: Sequence[Iterable[int]], top: int
+) -> list[np.ndarray]:
+    """The top `top` items of each row of a (B, M) block of full-catalog
+    scores, best first.
+
+    Row b's items in `exclude[b]` are left out, and a row with fewer than
+    `top` candidates keeps them all.  A stable sort on -score sends ties to
+    the lower item index.
+    """
+    neg = -np.asarray(scores, dtype=float)
+    for row, items in zip(neg, exclude):
+        row[list(items)] = np.inf
+    order = np.argsort(neg, axis=1, kind="stable")[:, :top]
+    kept = np.take_along_axis(neg, order, axis=1) < np.inf
+    return [row[keep] for row, keep in zip(order, kept)]
 
 
 def evaluate_ranking_fn(
-    score_user,
+    ranked_per_user: Sequence[np.ndarray],
     relevant_per_user: Sequence[Sequence[int]],
-    exclude_per_user: Sequence[set],
-    n_items: int,
     item_categories: Sequence[frozenset],
     n_categories: int,
     N_list: Sequence[int] = (3, 5, 10),
     loss_name: str = "",
     T: int = 0,
-    threads: int = 1,
 ) -> MetricTable:
-    """Per-user full-catalog ranking evaluation.
+    """Mean Recall, NDCG and category coverage at each N over users, from
+    each user's top items (best first, `rank_candidates` output).
 
-    `score_user(user, candidates) -> scores` supplies the model; candidates
-    are all items outside `exclude_per_user[user]`.  Users with no relevant
-    items or an empty candidate pool are excluded from the averages.
+    Users with no relevant items or no ranked items are left out of the
+    averages; a ValueError is raised when no user is left.
     """
-
-    def one_user(u: int):
-        relevant = set(relevant_per_user[u])
-        if not relevant:
-            return None
-        candidates = np.asarray(
-            [i for i in range(n_items) if i not in exclude_per_user[u]], dtype=int
+    results = []  # per user, (recall, ndcg, cc) at each N
+    for ranked, relevant in zip(ranked_per_user, relevant_per_user):
+        relevant = set(relevant)
+        ranked = np.asarray(ranked).tolist()
+        if not relevant or not ranked:
+            continue
+        results.append(
+            [
+                (
+                    recall_at(ranked, relevant, N),
+                    ndcg_at(ranked, relevant, N),
+                    category_coverage(ranked[:N], item_categories, n_categories),
+                )
+                for N in N_list
+            ]
         )
-        if candidates.size == 0:
-            return None
-        scores = np.asarray(score_user(u, candidates), dtype=float)
-        ranked = rank_candidates(scores, candidates)
-        out = {}
-        for N in N_list:
-            re = recall_at(ranked, relevant, N)
-            nd = ndcg_at(ranked, relevant, N)
-            cc = category_coverage(ranked[:N], item_categories, n_categories)
-            out[N] = (re, nd, cc)
-        return out
-
-    users = list(range(len(relevant_per_user)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_user, users))
-    else:
-        results = [one_user(u) for u in users]
-    results = [r for r in results if r is not None]
     if not results:
         raise ValueError("no users were evaluable")
 
     rows = []
-    for N in N_list:
-        re = float(np.mean([r[N][0] for r in results]))
-        nd = float(np.mean([r[N][1] for r in results]))
-        cc = float(np.mean([r[N][2] for r in results]))
-        quality = 0.5 * (re + nd)
-        rows.append(
-            MetricRow(loss=loss_name, T=T, N=N, recall=re, ndcg=nd, cc=cc, f=f_score(quality, cc))
-        )
+    for k, N in enumerate(N_list):
+        re, nd, cc = (float(np.mean(v)) for v in zip(*(r[k] for r in results)))
+        rows.append(MetricRow(loss_name, T, N, re, nd, cc, f_score(0.5 * (re + nd), cc)))
     return MetricTable(rows=rows)

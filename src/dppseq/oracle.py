@@ -12,8 +12,9 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg as la
 
-from .kernels import SequenceKernel
+from .kernels import DiversityKernelLowRank, SequenceKernel, _validate_positions
 
 
 @dataclass
@@ -49,6 +50,30 @@ def cofactor_det(matrix: np.ndarray) -> float:
         return memo[cols]
 
     return minor(tuple(range(n)))
+
+
+def identity_kernel(n_items: int) -> DiversityKernelLowRank:
+    """Diagonal diversity kernel (no similarity structure); useful for tests."""
+    return DiversityKernelLowRank(np.eye(n_items), normalized=True)
+
+
+def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -> float:
+    """Brute-force sum of det(L_Y) over all subsets Y containing `required`.
+
+    With required empty this equals det(L + I).  Exponential in the ground-set
+    size; rejected above n = 15.
+    """
+    if kernel.size > 15:
+        raise ValueError("ground set too large for 2^n enumeration")
+    req = _validate_positions(kernel, required)
+    free = [p for p in range(kernel.size) if p not in set(req)]
+    total = 0.0
+    for r in range(len(free) + 1):
+        for extra in combinations(free, r):
+            pos = np.asarray(sorted(set(req) | set(extra)), dtype=int)
+            sub = kernel.matrix[np.ix_(pos, pos)]
+            total += float(la.det(sub)) if pos.size else 1.0
+    return total
 
 
 def oracle_dpp_distribution(kernel: SequenceKernel) -> dict[frozenset, float]:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import losses as losses_mod
-from .data import SequenceInstance, SplitResult
+from .data import SequenceInstance, SplitResult, read_checkpoint, write_checkpoint
 from .kernels import DiversityKernelLowRank
 from .metrics import MetricTable, evaluate_ranking_fn, ndcg_at, rank_candidates
 
@@ -354,6 +354,45 @@ def train(
     return best_params, tlog
 
 
+RANK_BLOCK_USERS = 128  # users ranked at once; a block holds this many rows of M scores
+
+
+def _rank_users(
+    params: ScorerParams,
+    users: Sequence[int],
+    history: Sequence[Sequence[int]],
+    L: int,
+    n_items: int,
+    top: int,
+) -> list[np.ndarray]:
+    """Each user's top `top` items among the first `n_items` outside their
+    `history`, best first (see `rank_candidates`).
+
+    A user's scores are `contexts @ item_out_emb.T + item_bias`, with the
+    context taken from the last L history items as in training.  Users go
+    through in blocks of RANK_BLOCK_USERS, so memory stays bounded.
+    """
+    if (len(users) and max(users) >= params.user_emb.shape[0]) or (
+        n_items > params.item_out_emb.shape[0]
+    ):
+        raise ValueError("user or item index out of range")
+    users = np.asarray(users, dtype=np.intp)
+    # contexts of one length at a time, so that each is _contexts' own mean
+    context_items = [h[-L:] for h in history]
+    lengths = np.array([len(c) for c in context_items], dtype=np.intp)
+    contexts = np.empty((users.size, params.d))
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        previous = np.array([context_items[r] for r in rows], dtype=np.intp).reshape(rows.size, n)
+        contexts[rows] = _contexts(params, users[rows], previous)
+    out_emb, bias = params.item_out_emb[:n_items], params.item_bias[:n_items]
+    ranked: list[np.ndarray] = []
+    for start in range(0, users.size, RANK_BLOCK_USERS):
+        block = slice(start, start + RANK_BLOCK_USERS)
+        ranked += rank_candidates(contexts[block] @ out_emb.T + bias, history[block], top)
+    return ranked
+
+
 def validation_ndcg(
     params: ScorerParams,
     split: SplitResult,
@@ -363,18 +402,9 @@ def validation_ndcg(
 ) -> float:
     """Mean NDCG@N over validation items, ranking every item outside the
     user's training history, with the last L training items as context."""
-    values = []
-    for u, valid_items in enumerate(split.valid):
-        if not valid_items or len(split.train[u]) == 0:
-            continue
-        exclude = set(split.train[u])
-        candidates = np.asarray([i for i in range(n_items) if i not in exclude], dtype=int)
-        if candidates.size == 0:
-            continue
-        previous = split.train[u][-L:]
-        s = score(params, u, previous, candidates)
-        ranked = rank_candidates(s, candidates)
-        values.append(ndcg_at(ranked, set(valid_items), N))
+    users = [u for u, valid in enumerate(split.valid) if valid and len(split.train[u])]
+    ranked = _rank_users(params, users, [split.train[u] for u in users], L, n_items, N)
+    values = [ndcg_at(r.tolist(), set(split.valid[u]), N) for u, r in zip(users, ranked) if r.size]
     return float(np.mean(values)) if values else 0.0
 
 
@@ -387,65 +417,28 @@ def evaluate_model(
     n_categories: int,
     N_list: Sequence[int] = (3, 5, 10),
     loss_name: str = "",
-    threads: int = 1,
 ) -> MetricTable:
     """Test-set evaluation: rank all items outside train+valid history."""
-    exclude = [set(tr) | set(va) for tr, va in zip(split.train, split.valid)]
+    users = [u for u, test in enumerate(split.test) if test]
+    history = [split.train[u] + split.valid[u] for u in users]
+    ranked = _rank_users(params, users, history, L, n_items, max(N_list))
+    relevant = [split.test[u] for u in users]
     T = max((len(t) for t in split.test if t), default=0)
-
-    def score_user(u: int, candidates: np.ndarray) -> np.ndarray:
-        context_items = (split.train[u] + split.valid[u])[-L:]
-        return score(params, u, context_items, candidates)
-
     return evaluate_ranking_fn(
-        score_user,
-        relevant_per_user=split.test,
-        exclude_per_user=exclude,
-        n_items=n_items,
-        item_categories=item_categories,
-        n_categories=n_categories,
-        N_list=N_list,
-        loss_name=loss_name,
-        T=T,
-        threads=threads,
+        ranked, relevant, item_categories, n_categories, N_list, loss_name, T
     )
 
 
 def save_params(path, params: ScorerParams) -> None:
-    """Checkpoint: header (|U|, M, d) then row-major blocks for each table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        n_users, d = params.user_emb.shape
-        n_items = params.item_out_emb.shape[0]
-        fh.write(f"{n_users}\n{n_items}\n{d}\n")
-        for block in (params.user_emb, params.item_in_emb, params.item_out_emb):
-            for row in block:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(" ".join(repr(float(v)) for v in params.item_bias) + "\n")
+    """Checkpoint: header (|U|, M, d), then the rows of each table in
+    `_TABLES` order, the item biases on one line."""
+    n_users, d = params.user_emb.shape
+    header = (n_users, params.item_out_emb.shape[0], d)
+    write_checkpoint(path, header, [getattr(params, t) for t in _TABLES])
 
 
 def load_params(path) -> ScorerParams:
-    with open(path, encoding="utf-8") as fh:
-        n_users = int(fh.readline())
-        n_items = int(fh.readline())
-        d = int(fh.readline())
-
-        def block(rows: int) -> np.ndarray:
-            return np.asarray(
-                [[float(v) for v in fh.readline().split()] for _ in range(rows)]
-            )
-
-        user_emb = block(n_users)
-        item_in = block(n_items)
-        item_out = block(n_items)
-        bias = np.asarray([float(v) for v in fh.readline().split()])
-    for arr, shape in (
-        (user_emb, (n_users, d)),
-        (item_in, (n_items, d)),
-        (item_out, (n_items, d)),
-        (bias, (n_items,)),
-    ):
-        if arr.shape != shape:
-            raise ValueError("parameter checkpoint shape does not match its header")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("parameter checkpoint holds non-finite values")
-    return ScorerParams(user_emb=user_emb, item_in_emb=item_in, item_out_emb=item_out, item_bias=bias)
+    _, tables = read_checkpoint(
+        path, 3, lambda h: [(h[0], h[2]), (h[1], h[2]), (h[1], h[2]), (h[1],)]
+    )
+    return ScorerParams(*tables)

@@ -35,11 +35,11 @@ from dppseq.kernels import (
     build_sequence_kernel,
     cdsl_log_likelihood,
     dsl_log_likelihood,
-    enumerate_normalizer,
 )
 from dppseq.losses import bpr_loss, cdsl_loss, ce_loss, dsl_loss
 from dppseq.metrics import category_coverage, f_score, ndcg_at, recall_at
 from dppseq.oracle import (
+    enumerate_normalizer,
     oracle_conditional_distribution,
     oracle_dpp_distribution,
     oracle_fd_gradient,
@@ -416,7 +416,7 @@ def test_10_determinism(tmp_path):
     config = tmp_path / "config.txt"
     config.write_text(
         f"dataset={dataset}\nout={out}\nT=2\nk_core=2\nkernel_dim=8\nkernel_epochs=5\n"
-        "kernel_lr=0.01\nscorer_dim=8\nmax_epochs=3\nlosses=ce,cdsl\nseed=3\nthreads=1\n"
+        "kernel_lr=0.01\nscorer_dim=8\nmax_epochs=3\nlosses=ce,cdsl\nseed=3\n"
     )
 
     def run():

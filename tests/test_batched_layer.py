@@ -101,6 +101,23 @@ def test_rows_match_per_instance_reference(case):
         assert abs(ll[b] - ref_ll) <= 1e-12 * abs(ref_ll) + value_tol
         assert np.max(np.abs(grad[b] - ref_grad)) <= grad_tol
         assert np.all(grad[b][np.abs(scores[b]) >= RAW_SCORE_CLAMP] == 0.0)
+        assert np.all(grad[b][:P] == 0.0) and np.all(ref_grad[:P] == 0.0)
+
+
+def test_observed_gradient_is_exactly_zero():
+    # near-duplicate observed items and scores near the clamp: the normalizer
+    # is ill-conditioned, and (L B)_ii - 1 at an observed position is off its
+    # exact value 0 by about 1e-8
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((6, 8))
+    V[1] = V[0] + 1e-4 * rng.standard_normal(8)
+    kernel = DiversityKernelLowRank(V / np.linalg.norm(V, axis=1, keepdims=True))
+    items = np.arange(6)
+    scores = np.random.default_rng(0).uniform(-29.0, 29.0, size=6)
+    _, grad = set_log_likelihood_batch(kernel, items[None], scores[None], 4, 2)
+    _, ref_grad = reference(kernel, items, scores, 2, 2)
+    assert np.all(grad[0, :2] == 0.0)
+    assert np.all(ref_grad[:2] == 0.0)
 
 
 @CASES

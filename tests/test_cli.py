@@ -115,6 +115,15 @@ class TestExitCodes:
         assert main(["--config", str(config), "prepare"]) == 2
         assert not out.exists()
 
+    def test_threads_is_no_longer_a_setting(self, tmp_path, small_dataset):
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, threads=1)
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "--config", str(config), "prepare"])
+        assert exc.value.code == 2
+
     def test_nan_checkpoint_is_data_error(self, tmp_path, small_dataset):
         from dppseq.scorer import load_params, save_params
 

@@ -16,12 +16,10 @@ from dppseq.kernels import (
     build_sequence_kernel,
     cdsl_log_likelihood,
     dsl_log_likelihood,
-    enumerate_normalizer,
     grad_quality,
-    identity_kernel,
     log_det_psd,
 )
-from dppseq.oracle import cofactor_det, oracle_fd_gradient
+from dppseq.oracle import cofactor_det, enumerate_normalizer, identity_kernel, oracle_fd_gradient
 
 from conftest import random_sequence_kernel, random_unit_row_kernel
 
@@ -41,7 +39,6 @@ class TestGroundSet:
     def test_roles_partition_in_order(self):
         gs = GroundSet(previous=(4, 5), targets=(1,), negatives=(2, 3))
         assert gs.items == (4, 5, 1, 2, 3)
-        assert gs.roles == ("previous", "previous", "target", "negative", "negative")
         assert gs.previous_positions == (0, 1)
         assert gs.target_positions == (2,)
         assert gs.negative_positions == (3, 4)

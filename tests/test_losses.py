@@ -9,10 +9,9 @@ from dppseq.kernels import (
     GroundSet,
     QualityVector,
     build_sequence_kernel,
-    identity_kernel,
 )
 from dppseq.losses import bpr_loss, cdsl_loss, ce_loss, dsl_loss
-from dppseq.oracle import oracle_conditional_distribution, oracle_fd_gradient
+from dppseq.oracle import identity_kernel, oracle_conditional_distribution, oracle_fd_gradient
 
 from conftest import random_unit_row_kernel
 

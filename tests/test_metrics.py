@@ -86,35 +86,35 @@ class TestFScore:
 
 class TestRankCandidates:
     def test_descending(self):
-        ranked = rank_candidates(np.array([0.1, 0.9, 0.5]), np.array([10, 20, 30]))
-        assert ranked == [20, 30, 10]
+        ranked = rank_candidates(np.array([[0.1, 0.9, 0.5]]), [set()], 3)
+        assert ranked[0].tolist() == [1, 2, 0]
 
     def test_tie_breaks_by_item_index(self):
-        ranked = rank_candidates(np.array([0.5, 0.5, 0.5]), np.array([30, 10, 20]))
-        assert ranked == [10, 20, 30]
+        ranked = rank_candidates(np.array([[0.5, 0.5, 0.5, 0.7]]), [set()], 4)
+        assert ranked[0].tolist() == [3, 0, 1, 2]
+
+    def test_excluded_left_out_and_short_rows_kept_whole(self):
+        scores = np.array([[0.1, 0.9, 0.5, 0.3], [0.4, 0.3, 0.2, 0.1]])
+        ranked = rank_candidates(scores, [{1, 3}, {0, 1, 2}], 3)
+        assert ranked[0].tolist() == [2, 0]
+        assert ranked[1].tolist() == [3]
 
 
 class TestEvaluateRankingFn:
     def setup_method(self):
         # 6 items, 3 categories, 2 users; user 0 likes low indices
         self.cats = [frozenset({i // 2}) for i in range(6)]
-        self.scores = {0: np.array([5.0, 4, 3, 2, 1, 0]), 1: np.array([0.0, 1, 2, 3, 4, 5])}
+        self.scores = np.array([[5.0, 4, 3, 2, 1, 0], [0.0, 1, 2, 3, 4, 5]])
 
-    def score_fn(self, u, candidates):
-        return self.scores[u][candidates]
-
-    def run(self, threads=1, relevant=None, exclude=None):
+    def run(self, relevant=None, exclude=None):
         return evaluate_ranking_fn(
-            self.score_fn,
+            rank_candidates(self.scores, exclude if exclude is not None else [set(), set()], 2),
             relevant if relevant is not None else [[0, 1], [5]],
-            exclude if exclude is not None else [set(), set()],
-            n_items=6,
             item_categories=self.cats,
             n_categories=3,
             N_list=(2,),
             loss_name="x",
             T=1,
-            threads=threads,
         )
 
     def test_hand_computed_averages(self):
@@ -137,11 +137,6 @@ class TestEvaluateRankingFn:
         assert table.rows[0].recall == 1.0
         assert table.rows[0].cc == pytest.approx(1 / 3)
 
-    def test_threaded_matches_serial(self):
-        serial = self.run(threads=1)
-        threaded = self.run(threads=4)
-        assert serial.rows[0] == threaded.rows[0]
-
     def test_all_users_empty_rejected(self):
         with pytest.raises(ValueError):
             self.run(relevant=[[], []])
@@ -150,7 +145,9 @@ class TestEvaluateRankingFn:
 def test_metric_table_csv(tmp_path):
     table = MetricTable(rows=[MetricRow("ce", 1, 5, 0.5, 0.25, 1 / 3, 0.35)])
     path = tmp_path / "metrics.csv"
-    table.write_csv(path)
+    table.write_csv(path, "# stamp\n")
     lines = path.read_text().splitlines()
-    assert lines[0] == "loss,T,N,recall,ndcg,cc,f"
-    assert lines[1] == "ce,1,5,0.500000,0.250000,0.333333,0.350000"
+    assert lines[0] == "# stamp"
+    assert lines[1] == "loss,T,N,recall,ndcg,cc,f"
+    assert lines[2] == "ce,1,5,0.500000,0.250000,0.333333,0.350000"
+    assert MetricTable.read_csv(path).rows == [MetricRow("ce", 1, 5, 0.5, 0.25, 0.333333, 0.35)]

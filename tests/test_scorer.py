@@ -6,12 +6,15 @@ import pytest
 from dppseq.data import SequenceInstance, SplitResult
 from dppseq.kernel_learning import normalize_kernel
 from dppseq.kernels import DiversityKernelLowRank
+from dppseq.metrics import evaluate_ranking_fn, ndcg_at
 from dppseq.oracle import oracle_fd_gradient
 from dppseq.scorer import (
+    RANK_BLOCK_USERS,
     ScorerParams,
     TrainConfig,
     _Grads,
     backprop_scores,
+    evaluate_model,
     init_params,
     instance_loss,
     load_params,
@@ -266,6 +269,51 @@ class TestValidationNdcg:
         params = zero_params(n_users=1, n_items=10)
         split = SplitResult(train=[[0, 1]], valid=[[]], test=[[2]], dropped_users=[])
         assert validation_ndcg(params, split, 10, L=2) == 0.0
+
+
+class TestBlockRanking:
+    """Validation and test ranking against the per-user loop that block
+    ranking replaced, over more users than two blocks, context lists of
+    every length up to L and dropped users with no history."""
+
+    def split(self, n_users, n_items, rng):
+        train, valid, test = [], [], []
+        for _ in range(n_users):
+            items = rng.permutation(n_items).tolist()
+            n_train = int(rng.integers(0, 9))
+            train.append(items[:n_train])
+            valid.append(items[n_train : n_train + int(rng.integers(0, 3))] if n_train else [])
+            test.append(items[20 : 20 + int(rng.integers(0, 3))] if n_train else [])
+        return SplitResult(train=train, valid=valid, test=test, dropped_users=[])
+
+    def per_user_top(self, params, user, context, exclude, n_items, top):
+        candidates = np.array([i for i in range(n_items) if i not in set(exclude)])
+        s = score(params, user, context, candidates)
+        return candidates[np.lexsort((candidates, -s))][:top].tolist()
+
+    def test_matches_per_user_loop(self):
+        rng = np.random.default_rng(5)
+        n_users, n_items, L = 2 * RANK_BLOCK_USERS + 17, 40, 4
+        params = init_params(n_users, n_items, d=4, seed=5)
+        params.item_bias[:] = 0.1 * rng.standard_normal(n_items)
+        split = self.split(n_users, n_items, rng)
+
+        ndcgs = [
+            ndcg_at(self.per_user_top(params, u, tr[-L:], tr, n_items, 5), set(va), 5)
+            for u, (tr, va) in enumerate(zip(split.train, split.valid))
+            if tr and va
+        ]
+        assert validation_ndcg(params, split, n_items, L) == float(np.mean(ndcgs))
+
+        cats = [frozenset({i % 3}) for i in range(n_items)]
+        users = [u for u, t in enumerate(split.test) if t]
+        history = [split.train[u] + split.valid[u] for u in users]
+        tops = [
+            self.per_user_top(params, u, h[-L:], h, n_items, 10) for u, h in zip(users, history)
+        ]
+        want = evaluate_ranking_fn(tops, [split.test[u] for u in users], cats, 3, T=2)
+        got = evaluate_model(params, split, n_items, L, cats, 3)
+        assert got.rows == want.rows
 
 
 class TestCheckpoint:
