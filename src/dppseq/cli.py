@@ -207,10 +207,11 @@ def cmd_prepare(config: ExperimentConfig) -> None:
 def cmd_gen_sets(config: ExperimentConfig) -> None:
     log_, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
-    catalog_by_category: dict[int, list[int]] = {}
+    by_category: dict[int, list[int]] = {}
     for item, cats in enumerate(log_.item_categories):
         for c in cats:
-            catalog_by_category.setdefault(c, []).append(item)
+            by_category.setdefault(c, []).append(item)
+    catalog_by_category = {c: np.asarray(items, dtype=np.intp) for c, items in by_category.items()}
     all_items = list(range(log_.n_items))
     pairs = []
     for u, train_items in enumerate(split.train):
@@ -227,7 +228,7 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
                 all_items,
                 decay=config.decay,
                 set_size=config.set_size,
-                seed=config.seed ^ u,
+                seed=config.seed,
             )
         )
     ds_mod.dump_paired_sets(pairs, _out_dir(config) / "diverse_sets.tsv")
@@ -282,17 +283,38 @@ def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
     validate = lambda p: scorer_mod.validation_ndcg(p, split, log_.n_items, config.L)
     params, tlog = scorer_mod.train(params, instances, loss_kind, kernel, tcfg, validate)
     scorer_mod.save_params(out / f"scorer_{loss_kind}.txt", params)
-    body = "epoch,train_loss,val_ndcg5,seconds\n" + "\n".join(
+    _write_train_log(out / f"train_log_{loss_kind}.csv", config, tlog)
+    print(
+        f"trained {loss_kind}: {len(tlog.epoch_loss)} epochs, "
+        f"best epoch {tlog.best_epoch}, val Nd@5 {max(tlog.epoch_val_ndcg):.4f}"
+    )
+
+
+_TRAIN_LOG_HEADER = "epoch,train_loss,val_ndcg5,seconds"
+
+
+def _write_train_log(path: Path, config: ExperimentConfig, tlog: scorer_mod.TrainLog) -> None:
+    body = "\n".join(
         f"{e},{l:.6f},{v:.6f},{s:.3f}"
         for e, (l, v, s) in enumerate(
             zip(tlog.epoch_loss, tlog.epoch_val_ndcg, tlog.epoch_seconds)
         )
     )
-    _write_stamped(out / f"train_log_{loss_kind}.csv", config, body + "\n")
-    print(
-        f"trained {loss_kind}: {len(tlog.epoch_loss)} epochs, "
-        f"best epoch {tlog.best_epoch}, val Nd@5 {max(tlog.epoch_val_ndcg):.4f}"
-    )
+    _write_stamped(path, config, f"{_TRAIN_LOG_HEADER}\n{body}\n")
+
+
+def _read_train_log(path: Path) -> scorer_mod.TrainLog:
+    """The per-epoch columns of a `_write_train_log` file, at the precision
+    written."""
+    tlog = scorer_mod.TrainLog()
+    for line in path.read_text().splitlines():
+        if not line or line.startswith("#") or line == _TRAIN_LOG_HEADER:
+            continue
+        _, loss, ndcg, seconds = line.split(",")
+        tlog.epoch_loss.append(float(loss))
+        tlog.epoch_val_ndcg.append(float(ndcg))
+        tlog.epoch_seconds.append(float(seconds))
+    return tlog
 
 
 def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:
@@ -329,15 +351,10 @@ def cmd_report(config: ExperimentConfig) -> None:
         rows += MetricTable.read_csv(metrics_path).rows
         tl_path = out / f"train_log_{loss_kind}.csv"
         if tl_path.exists():
-            entries = [
-                line.split(",")
-                for line in tl_path.read_text().splitlines()
-                if line and not line.startswith("#") and not line.startswith("epoch,")
-            ]
-            seconds = [float(e[3]) for e in entries]
-            ndcgs = [float(e[2]) for e in entries]
+            tlog = _read_train_log(tl_path)
+            ndcgs = tlog.epoch_val_ndcg
             best_epoch = int(np.argmax(ndcgs))
-            per_epoch = float(np.mean(seconds))
+            per_epoch = float(np.mean(tlog.epoch_seconds))
             efficiency.append(
                 f"{loss_kind},{per_epoch:.3f},{best_epoch + 1},{per_epoch * (best_epoch + 1):.3f}"
             )

@@ -20,6 +20,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DECAY = 0.5
 DEFAULT_SET_SIZE = 5
+POSITIVE_STREAM, NEGATIVE_STREAM = 0, 1
+
+_NO_ITEMS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass
@@ -39,7 +42,7 @@ def generate_diverse_sets(
     user_items: Sequence[tuple[int, frozenset]],
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> list[frozenset]:
     """Emit positive sets until every item has appeared in at least one set.
 
@@ -55,6 +58,8 @@ def generate_diverse_sets(
     n = len(items)
     size = min(set_size, n)
     rng = np.random.default_rng(seed)
+    # shares[i, j]: items i and j have a category in common
+    shares = np.array([[bool(a & b) for b in categories] for a in categories])
 
     covered: set[int] = set()
     sets: list[frozenset] = []
@@ -66,10 +71,7 @@ def generate_diverse_sets(
             pick = int(rng.choice(n, p=probs))
             chosen.append(pick)
             weights[pick] = 0.0
-            picked_cats = categories[pick]
-            for j in range(n):
-                if weights[j] > 0 and categories[j] & picked_cats:
-                    weights[j] *= decay
+            weights[shares[pick] & (weights > 0)] *= decay
         covered.update(chosen)
         sets.append(frozenset(items[i] for i in chosen))
     return sets
@@ -79,33 +81,57 @@ def sample_negative_set(
     positive: Iterable[int],
     positive_categories: Mapping[int, frozenset],
     user_history: set[int],
-    catalog_by_category: Mapping[int, Sequence[int]],
+    pools: Mapping[int, np.ndarray],
     rng: np.random.Generator,
     all_items: Sequence[int],
 ) -> frozenset:
     """Negative set matching the positive set's categories item-for-item.
 
-    Falls back to a uniform draw over unseen items when a category has no
-    unseen candidates left.
+    `pools` maps a category to the sorted catalog items in it that the user
+    never interacted with (see `unseen_by_category`).  Each positive item's
+    match is drawn uniformly from the union of its categories' pools, less
+    the items already chosen.  Falls back to a uniform draw over unseen
+    items when that union is empty.
     """
-    chosen: set[int] = set()
+    chosen: list[int] = []
     for pos_item in sorted(positive):
-        cats = sorted(positive_categories[pos_item])
-        candidates: list[int] = []
-        for c in cats:
-            candidates.extend(
-                i
-                for i in catalog_by_category.get(c, ())
-                if i not in user_history and i not in chosen
-            )
-        if not candidates:
-            candidates = [i for i in all_items if i not in user_history and i not in chosen]
-            if not candidates:
+        own = [pools.get(c, _NO_ITEMS) for c in positive_categories[pos_item]]
+        candidates = own[0] if len(own) == 1 else np.unique(np.concatenate([_NO_ITEMS, *own]))
+        for item in chosen:  # at most set_size - 1 items; cheaper than np.isin
+            candidates = candidates[candidates != item]
+        if not candidates.size:
+            unseen = np.setdiff1d(np.asarray(all_items, dtype=np.intp), list(user_history))
+            candidates = np.setdiff1d(unseen, chosen)
+            if not candidates.size:
                 raise ValueError("catalog exhausted while sampling a negative set")
             log.debug("category-matched pool empty; falling back to uniform unseen draw")
-        candidates = sorted(set(candidates))
-        chosen.add(int(rng.choice(candidates)))
+        chosen.append(int(rng.choice(candidates)))
     return frozenset(chosen)
+
+
+def unseen_by_category(
+    catalog_by_category: Mapping[int, Sequence[int]],
+    user_history: set[int],
+    categories: Iterable[int],
+) -> dict[int, np.ndarray]:
+    """For each of `categories` in the catalog, its items outside the user's
+    history.  The catalog's per-category items must be sorted and distinct,
+    and so are the pools."""
+    cats = [c for c in categories if c in catalog_by_category]
+    if not cats:
+        return {}
+    # one membership test for all the categories' items at once
+    items = [np.asarray(catalog_by_category[c], dtype=np.intp) for c in cats]
+    seen = np.fromiter(user_history, dtype=np.intp, count=len(user_history))
+    unseen = ~np.isin(np.concatenate(items), seen)
+    bounds = np.cumsum([len(a) for a in items])[:-1]
+    return {c: a[keep] for c, a, keep in zip(cats, items, np.split(unseen, bounds))}
+
+
+def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
+    """Seed of one user's POSITIVE_STREAM or NEGATIVE_STREAM draws; every
+    (seed, user, stream) gets its own, independent stream."""
+    return np.random.SeedSequence([seed, user, stream])
 
 
 def build_paired_sets(
@@ -121,18 +147,23 @@ def build_paired_sets(
 ) -> PairedDiverseSets:
     """Positive sets plus matched negatives for one user.
 
-    The per-user seed should be derived from a global seed so generation is
+    `seed` is the global seed: the positive and the negative sets are drawn
+    from the streams `user_seed(seed, user, ...)`, so generation is
     deterministic regardless of user processing order.
+    `catalog_by_category` maps a category to its items, sorted.
     """
-    positives = generate_diverse_sets(user_items, decay=decay, set_size=set_size, seed=seed)
-    rng = np.random.default_rng(seed + 1)
+    positives = generate_diverse_sets(
+        user_items, decay=decay, set_size=set_size, seed=user_seed(seed, user, POSITIVE_STREAM)
+    )
+    rng = np.random.default_rng(user_seed(seed, user, NEGATIVE_STREAM))
     cats = {int(i): frozenset(c) for i, c in user_items}
+    pools = unseen_by_category(catalog_by_category, user_history, set().union(*cats.values()))
     negatives = [
         sample_negative_set(
             pos,
             {i: cats.get(i, item_categories[i]) for i in pos},
             user_history,
-            catalog_by_category,
+            pools,
             rng,
             all_items,
         )

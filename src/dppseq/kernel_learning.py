@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as la
 
 from .data import read_checkpoint, write_checkpoint
 from .diverse_sets import PairedDiverseSets
-from .kernels import DiversityKernelLowRank
+from .kernels import DiversityKernelLowRank, _log_det_of_factor
 
 log = logging.getLogger(__name__)
 
@@ -44,13 +44,73 @@ class KernelTrainConfig:
         return self.init_scale if self.init_scale is not None else 1.0 / np.sqrt(self.latent_dim)
 
 
-def _set_logdet(factors: np.ndarray, items: Sequence[int], jitter: float) -> float:
-    rows = factors[np.asarray(sorted(items), dtype=int)]
-    gram = rows @ rows.T + jitter * np.eye(len(items))
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise FloatingPointError("jittered Gram matrix not positive definite")
-    return float(logdet)
+BLOCK_SETS = 128  # sets factored at once; bounds an evaluation's memory, whatever the set count
+
+
+def _group_sets(pairs: Sequence[PairedDiverseSets]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every positive and negative set, grouped by size: one (N, k) array of
+    sorted item indices and one (N,) array of signs (+1 positive, -1
+    negative) per size k, the sets in pair order within a group."""
+    by_size: dict[int, tuple[list, list]] = {}
+    for p in pairs:
+        for pos, neg in zip(p.positive, p.negative):
+            for items, sign in ((pos, 1.0), (neg, -1.0)):
+                sets, signs = by_size.setdefault(len(items), ([], []))
+                sets.append(items)
+                signs.append(sign)
+    groups = []
+    for k, (sets, signs) in sorted(by_size.items()):
+        items = np.fromiter(chain.from_iterable(sets), np.intp, len(sets) * k)
+        groups.append((np.sort(items.reshape(len(sets), k)), np.asarray(signs)))
+    return groups
+
+
+def _objective_and_gradient(
+    V: np.ndarray,
+    groups: Sequence[tuple[np.ndarray, np.ndarray]],
+    l2_reg: float,
+    jitter: float,
+) -> tuple[float, np.ndarray]:
+    """The contrastive objective sum_S sign_S log det(V_S V_S^T + jI) - l2 |V|^2
+    and its gradient w.r.t. V, over the sets of `_group_sets`.
+
+    Each group goes through in blocks of BLOCK_SETS sets (`_add_block`), so
+    memory stays bounded by the block, whatever the number of sets.
+    """
+    total = 0.0
+    grad = np.zeros_like(V)
+    for items, signs in groups:
+        k = items.shape[1]
+        if jitter <= 0 and k > V.shape[1]:
+            raise FloatingPointError(
+                f"a {k}-item set has a singular Gram matrix at rank {V.shape[1]} without jitter"
+            )
+        for start in range(0, len(items), BLOCK_SETS):
+            block = slice(start, start + BLOCK_SETS)
+            total += _add_block(V, items[block], signs[block], jitter, grad)
+    objective = total - l2_reg * float(np.sum(V * V))
+    return objective, grad - 2.0 * l2_reg * V
+
+
+def _add_block(
+    V: np.ndarray, items: np.ndarray, signs: np.ndarray, jitter: float, grad: np.ndarray
+) -> float:
+    """One block of same-size sets: adds sign * d log det/dV_S = sign * 2
+    (K_S + jI)^-1 V_S into `grad` and returns sum_S sign_S log det(K_S + jI).
+
+    One gather of the rows, one batched Gram and one Cholesky factorization,
+    whose diagonal gives the log-dets and whose inverse gives the solve.
+    """
+    rows = V[items]
+    gram = rows @ rows.transpose(0, 2, 1) + jitter * np.eye(items.shape[1])
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise FloatingPointError("jittered Gram matrix not positive definite") from None
+    inv_chol = np.linalg.inv(chol)
+    solved = inv_chol.transpose(0, 2, 1) @ (inv_chol @ rows)
+    np.add.at(grad, items, (2.0 * signs)[:, None, None] * solved)
+    return float(signs @ _log_det_of_factor(chol))
 
 
 def paired_set_objective(
@@ -60,12 +120,7 @@ def paired_set_objective(
     jitter: float = 0.0,
 ) -> float:
     """Contrastive log-det objective over all positive/negative set pairs."""
-    V = kernel.factors
-    total = 0.0
-    for p in pairs:
-        for pos, neg in zip(p.positive, p.negative):
-            total += _set_logdet(V, pos, jitter) - _set_logdet(V, neg, jitter)
-    return total - l2_reg * float(np.sum(V * V))
+    return _objective_and_gradient(kernel.factors, _group_sets(pairs), l2_reg, jitter)[0]
 
 
 def _objective_gradient(
@@ -74,16 +129,7 @@ def _objective_gradient(
     l2_reg: float,
     jitter: float,
 ) -> np.ndarray:
-    # d log det(K_S + jI)/dV_S = 2 (K_S + jI)^{-1} V_S, other rows untouched
-    grad = np.zeros_like(V)
-    for p in pairs:
-        for pos, neg in zip(p.positive, p.negative):
-            for items, sign in ((pos, 1.0), (neg, -1.0)):
-                idx = np.asarray(sorted(items), dtype=int)
-                rows = V[idx]
-                gram = rows @ rows.T + jitter * np.eye(idx.size)
-                grad[idx] += sign * 2.0 * la.solve(gram, rows, assume_a="pos")
-    return grad - 2.0 * l2_reg * V
+    return _objective_and_gradient(V, _group_sets(pairs), l2_reg, jitter)[1]
 
 
 def train_kernel(
@@ -103,15 +149,16 @@ def train_kernel(
     scale = config.resolved_init_scale
     V = rng.uniform(-scale, scale, size=(n_items, config.latent_dim))
 
+    groups = _group_sets(pairs)
     lr = config.learning_rate
     history: list[float] = []
     regressions = 0
+    # one evaluation per epoch: the objective at the updated factors is
+    # logged, and its gradient takes the next step
+    _, grad = _objective_and_gradient(V, groups, config.l2_reg, config.jitter)
     for epoch in range(config.epochs):
-        grad = _objective_gradient(V, pairs, config.l2_reg, config.jitter)
         V = V + lr * grad
-        obj = paired_set_objective(
-            DiversityKernelLowRank(V), pairs, config.l2_reg, config.jitter
-        )
+        obj, grad = _objective_and_gradient(V, groups, config.l2_reg, config.jitter)
         if not np.isfinite(obj):
             raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
         if history and obj < history[-1]:

@@ -186,6 +186,20 @@ class TestPipeline:
             values = row.split(",")[3:]
             assert all(0.0 <= float(v) <= 1.0 for v in values)
 
+    def test_train_log_round_trip(self, tmp_path):
+        from dppseq.cli import _read_train_log, _write_train_log
+        from dppseq.scorer import TrainLog
+
+        written = TrainLog(
+            epoch_loss=[2.5, 1.1234567], epoch_val_ndcg=[0.1, 0.25], epoch_seconds=[0.5, 0.0004]
+        )
+        path = tmp_path / "train_log_ce.csv"
+        _write_train_log(path, ExperimentConfig(), written)
+        read = _read_train_log(path)
+        assert read.epoch_loss == [2.5, 1.123457]
+        assert read.epoch_val_ndcg == [0.1, 0.25]
+        assert read.epoch_seconds == [0.5, 0.0]
+
     def test_byte_identical_across_runs(self, tmp_path, small_dataset):
         # same out directory so the config stamp matches too
         out = self.run_all(tmp_path, small_dataset, "run")

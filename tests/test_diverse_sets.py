@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from dppseq.diverse_sets import (
+    NEGATIVE_STREAM,
+    POSITIVE_STREAM,
     build_paired_sets,
     dump_paired_sets,
     generate_diverse_sets,
     load_paired_sets,
     sample_negative_set,
+    unseen_by_category,
+    user_seed,
 )
 
 
@@ -81,7 +85,7 @@ class TestSampleNegativeSet:
             positive={0, 10},
             positive_categories={0: frozenset([0]), 10: frozenset([1])},
             user_history={0, 10},
-            catalog_by_category=self.catalog,
+            pools=unseen_by_category(self.catalog, {0, 10}, (0, 1)),
             rng=rng,
             all_items=self.all_items,
         )
@@ -96,7 +100,7 @@ class TestSampleNegativeSet:
             positive={0},
             positive_categories={0: frozenset([0])},
             user_history=set(range(10)),
-            catalog_by_category=self.catalog,
+            pools=unseen_by_category(self.catalog, set(range(10)), (0, 1)),
             rng=rng,
             all_items=self.all_items,
         )
@@ -110,7 +114,7 @@ class TestSampleNegativeSet:
                 positive={0},
                 positive_categories={0: frozenset([0])},
                 user_history=set(range(20)),
-                catalog_by_category=self.catalog,
+                pools=unseen_by_category(self.catalog, set(range(20)), (0, 1)),
                 rng=rng,
                 all_items=self.all_items,
             )
@@ -123,11 +127,107 @@ class TestSampleNegativeSet:
                 positive={0, 11},
                 positive_categories={0: frozenset([0]), 11: frozenset([1])},
                 user_history=history,
-                catalog_by_category=self.catalog,
+                pools=unseen_by_category(self.catalog, history, (0, 1)),
                 rng=rng,
                 all_items=self.all_items,
             )
             assert not neg & history
+
+
+def reference_sample_negative_set(
+    positive, positive_categories, user_history, catalog_by_category, rng, all_items
+):
+    """The per-item scan over the catalog that `sample_negative_set` replaced."""
+    chosen = set()
+    for pos_item in sorted(positive):
+        cats = sorted(positive_categories[pos_item])
+        candidates = []
+        for c in cats:
+            candidates.extend(
+                i
+                for i in catalog_by_category.get(c, ())
+                if i not in user_history and i not in chosen
+            )
+        if not candidates:
+            candidates = [i for i in all_items if i not in user_history and i not in chosen]
+            if not candidates:
+                raise ValueError("catalog exhausted while sampling a negative set")
+        candidates = sorted(set(candidates))
+        chosen.add(int(rng.choice(candidates)))
+    return frozenset(chosen)
+
+
+class TestMatchesReference:
+    def test_same_draws_on_same_generator_states(self):
+        """Random catalogs with one or two categories per item and histories
+        from empty to a whole category, so the uniform fallback and the
+        exhausted catalog both occur; each case runs both functions on twin
+        generators."""
+        fallbacks = exhausted = 0
+        for case in range(300):
+            setup = np.random.default_rng([case, 1])
+            n_items, n_cats = int(setup.integers(4, 40)), int(setup.integers(1, 5))
+            item_cats = {}
+            for i in range(n_items):
+                extra = {int(setup.integers(n_cats))} if setup.random() < 0.3 else set()
+                item_cats[i] = frozenset({i % n_cats} | extra)
+            catalog = {}
+            for i, cats in item_cats.items():
+                for c in cats:
+                    catalog.setdefault(c, []).append(i)
+            seen = setup.choice(n_items, setup.integers(n_items), replace=False)
+            history = {int(i) for i in seen}
+            if case % 3 == 0:
+                history |= set(catalog[0])  # category 0 has no unseen items left
+            size = setup.integers(1, min(6, n_items))
+            positive = {int(i) for i in setup.choice(n_items, size, replace=False)}
+            positive_cats = {i: item_cats[i] for i in positive}
+            all_items = list(range(n_items))
+            pools = unseen_by_category(catalog, history, range(n_cats))
+            fallbacks += any(
+                not any(len(pools.get(c, ())) for c in positive_cats[i]) for i in positive
+            )
+            rng_ref, rng_new = np.random.default_rng(case), np.random.default_rng(case)
+            try:
+                want = reference_sample_negative_set(
+                    positive, positive_cats, history, catalog, rng_ref, all_items
+                )
+            except ValueError:
+                exhausted += 1
+                with pytest.raises(ValueError):
+                    sample_negative_set(positive, positive_cats, history, pools, rng_new, all_items)
+                continue
+            got = sample_negative_set(positive, positive_cats, history, pools, rng_new, all_items)
+            assert got == want, case
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state, case
+        assert exhausted > 0 and fallbacks > exhausted, (exhausted, fallbacks)
+
+
+class TestUserStreams:
+    def test_no_two_streams_start_alike(self):
+        """Before, user u drew positives from seed ^ u and negatives from
+        (seed ^ u) + 1, so with seed 0 user 4's negatives replayed user 5's
+        positives."""
+        starts = {}
+        for seed in range(4):
+            for user in range(200):
+                for stream in (POSITIVE_STREAM, NEGATIVE_STREAM):
+                    rng = np.random.default_rng(user_seed(seed, user, stream))
+                    first = tuple(rng.integers(2**63, size=4))
+                    assert first not in starts, ((seed, user, stream), starts.get(first))
+                    starts[first] = (seed, user, stream)
+
+    def test_build_paired_sets_draws_from_the_user_streams(self):
+        catalog = {0: list(range(10)), 1: list(range(10, 20))}
+        user_items = items_with_cats([[0], [1], [0], [1], [0], [1], [0]])
+        item_categories = {i: frozenset([0 if i < 10 else 1]) for i in range(20)}
+        for user in (4, 5):
+            pairs = build_paired_sets(
+                user, user_items, set(range(7)), item_categories, catalog, list(range(20)), seed=0
+            )
+            assert pairs.positive == generate_diverse_sets(
+                user_items, seed=user_seed(0, user, POSITIVE_STREAM)
+            )
 
 
 class TestBuildPairedSets:

@@ -1,6 +1,7 @@
 """Low-rank diversity-kernel fitting on paired diverse sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ import scipy.linalg as la
 
 from dppseq.diverse_sets import PairedDiverseSets
 from dppseq.kernel_learning import (
+    BLOCK_SETS,
     KernelTrainConfig,
+    _group_sets,
+    _objective_and_gradient,
+    _objective_gradient,
     load_kernel,
     normalize_kernel,
     paired_set_objective,
@@ -74,10 +79,96 @@ class TestPairedSetObjective:
         assert paired_set_objective(kernel, pairs) == pytest.approx(expected, rel=1e-9)
 
 
+def per_set_reference(V, pairs, l2_reg, jitter):
+    """The objective and gradient one set at a time: slogdet for the value,
+    scipy.linalg.solve for d log det/dV_S = 2 (K_S + jI)^-1 V_S.  Also
+    returns the sum of the objective's terms' magnitudes, the scale of its
+    rounding error (the signed terms cancel)."""
+    total, scale = 0.0, 0.0
+    grad = np.zeros_like(V)
+    for p in pairs:
+        for pos, neg in zip(p.positive, p.negative):
+            for items, sign in ((pos, 1.0), (neg, -1.0)):
+                idx = np.asarray(sorted(items), dtype=int)
+                rows = V[idx]
+                gram = rows @ rows.T + jitter * np.eye(idx.size)
+                sign_det, logdet = np.linalg.slogdet(gram)
+                assert sign_det > 0
+                total += sign * logdet
+                scale += abs(logdet)
+                grad[idx] += sign * 2.0 * la.solve(gram, rows, assume_a="pos")
+    penalty = l2_reg * float(np.sum(V * V))
+    return total - penalty, grad - 2.0 * l2_reg * V, scale + penalty
+
+
+def random_pairs(rng, sizes, n_items):
+    """One pair of random sets of each size in `sizes`."""
+    pairs = []
+    for u, k in enumerate(sizes):
+        pos, neg = (frozenset(rng.choice(n_items, k, replace=False).tolist()) for _ in "pn")
+        pairs.append(pair(u, [pos], [neg]))
+    return pairs
+
+
+class TestBlockedObjective:
+    def test_matches_per_set_reference(self, rng):
+        # ragged sizes with singletons; the 5-item group spans several
+        # blocks and ends in a partial one.  The rank is well above the set
+        # sizes, as in training (sets of 5-8 items, rank 32), so the Grams
+        # are well conditioned and both sides are accurate to a few ulps.
+        V = rng.standard_normal((60, 16))
+        sizes = [5] * (BLOCK_SETS + 37) + [1] * 10 + [2] * 40 + [6] * 30
+        pairs = random_pairs(rng, rng.permutation(sizes), 60)
+        groups = _group_sets(pairs)
+        assert {g[0].shape[1] for g in groups} == {1, 2, 5, 6}
+        five = next(g for g in groups if g[0].shape[1] == 5)
+        assert len(five[0]) > BLOCK_SETS and len(five[0]) % BLOCK_SETS
+        assert set(np.concatenate([g[1] for g in groups])) == {-1.0, 1.0}
+        for l2, jitter in ((0.0, 0.0), (0.05, 1e-4)):
+            want_obj, want_grad, scale = per_set_reference(V, pairs, l2, jitter)
+            obj, grad = _objective_and_gradient(V, groups, l2, jitter)
+            assert abs(obj - want_obj) <= 1e-12 * scale
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+            kernel = DiversityKernelLowRank(V)
+            assert paired_set_objective(kernel, pairs, l2, jitter) == obj
+            assert np.array_equal(_objective_gradient(V, pairs, l2, jitter), grad)
+
+    def test_oversized_set_without_jitter_is_a_numerical_failure(self, rng):
+        # a 4-item set has a singular Gram at rank 3: FloatingPointError
+        # (exit 4 from the CLI), not LinAlgError, which is a ValueError.
+        # In rounding, about 4 in 10 such Grams still factor, with a finite
+        # log-det near -36; 20 draws make it near certain that some do.
+        # (Positive and negative are the same set, so that one factoring
+        # Gram is enough for the whole block to factor.)
+        pairs = [pair(0, [{0, 1, 2, 3}], [{0, 1, 2, 3}])]
+        for _ in range(20):
+            V = rng.standard_normal((10, 3))
+            with pytest.raises(FloatingPointError):
+                paired_set_objective(DiversityKernelLowRank(V), pairs)
+            with pytest.raises(FloatingPointError):
+                _objective_gradient(V, pairs, 0.0, 0.0)
+
+    def test_memory_does_not_grow_with_the_set_count(self, rng):
+        V = rng.standard_normal((300, 32))
+
+        def peak(n_sets):
+            items = np.sort([rng.choice(300, 8, replace=False) for _ in range(n_sets)], axis=1)
+            groups = [(items, np.where(np.arange(n_sets) % 2, -1.0, 1.0))]
+            _objective_and_gradient(V, groups, 0.01, 1e-6)  # warm caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _objective_and_gradient(V, groups, 0.01, 1e-6)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, twenty = peak(BLOCK_SETS), peak(20 * BLOCK_SETS)
+        assert twenty <= one + 1024, (one, twenty)
+
+
 class TestTrainKernel:
     def test_gradient_matches_finite_differences(self, rng):
-        from dppseq.kernel_learning import _objective_gradient
-
         V = rng.standard_normal((10, 3))
         pairs = [
             pair(0, [{0, 1, 4}], [{5, 6, 7}]),
