@@ -32,9 +32,8 @@ pairs = [
         u,
         [(i, log.item_categories[i]) for i in dict.fromkeys(tr)],
         histories[u],
-        log.item_categories,
         catalog,
-        list(range(log.n_items)),
+        log.n_items,
         seed=u,
     )
     for u, tr in enumerate(split.train)

@@ -64,6 +64,10 @@ class ExperimentConfig:
             self.L = L
         if self.Z == 0:
             self.Z = Z
+        if self.set_size < 1:
+            raise ValueError(f"set_size must be >= 1, got {self.set_size}")
+        if not 0.0 < self.decay <= 1.0:
+            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if "dsl" in self.losses and self.T <= 1:
             raise ValueError("dsl requires T > 1; drop it from `losses` or raise T")
         unknown = set(self.losses) - set(scorer_mod.LOSS_KINDS)
@@ -212,25 +216,20 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
         for c in cats:
             by_category.setdefault(c, []).append(item)
     catalog_by_category = {c: np.asarray(items, dtype=np.intp) for c, items in by_category.items()}
-    all_items = list(range(log_.n_items))
-    pairs = []
-    for u, train_items in enumerate(split.train):
-        if not train_items:
-            continue
-        user_items = [(i, log_.item_categories[i]) for i in dict.fromkeys(train_items)]
-        pairs.append(
-            ds_mod.build_paired_sets(
-                u,
-                user_items,
-                histories[u],
-                log_.item_categories,
-                catalog_by_category,
-                all_items,
-                decay=config.decay,
-                set_size=config.set_size,
-                seed=config.seed,
-            )
+    pairs = [
+        ds_mod.build_paired_sets(
+            u,
+            [(i, log_.item_categories[i]) for i in dict.fromkeys(train_items)],
+            histories[u],
+            catalog_by_category,
+            log_.n_items,
+            decay=config.decay,
+            set_size=config.set_size,
+            seed=config.seed,
         )
+        for u, train_items in enumerate(split.train)
+        if train_items
+    ]
     ds_mod.dump_paired_sets(pairs, _out_dir(config) / "diverse_sets.tsv")
     n_sets = sum(len(p.positive) for p in pairs)
     print(f"generated {n_sets} paired diverse sets for {len(pairs)} users")

@@ -231,7 +231,9 @@ def make_instances(
         if len(seq) < L + T:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, u]))
-        pool = np.asarray([i for i in range(n_items) if i not in histories[u]], dtype=int)
+        seen = np.zeros(n_items, dtype=bool)
+        seen[list(histories[u])] = True
+        pool = np.flatnonzero(~seen)
         if pool.size < Z:
             log.warning("user %d has too few unseen items for Z=%d negatives", u, Z)
             continue

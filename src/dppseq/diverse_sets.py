@@ -6,11 +6,17 @@ item sharing a category with the pick is multiplied by a decay factor, which
 favors category-diverse sets.  Each positive set is paired with a
 category-matched negative set drawn from items the user never interacted
 with.
+
+Every draw is the one `rng.choice` would make, from the same stream: a
+weighted pick is an inverse-CDF draw on one `rng.random()`, and a uniform
+pick from m candidates is one `rng.integers(0, m)`.  So the array code
+gives the sets that one `rng.choice` call per pick gave.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +27,7 @@ log = logging.getLogger(__name__)
 DEFAULT_DECAY = 0.5
 DEFAULT_SET_SIZE = 5
 POSITIVE_STREAM, NEGATIVE_STREAM = 0, 1
+POSITIVE_BLOCK = 8  # positive sets drawn at once; those past full coverage are dropped
 
 _NO_ITEMS = np.zeros(0, dtype=np.intp)
 
@@ -48,84 +55,158 @@ def generate_diverse_sets(
 
     `user_items` is a list of (item index, category-id set).  Weights reset to
     uniform at the start of each set, so the sets are identically distributed.
+    Each pick is the inverse-CDF draw that `rng.choice(n, p=weights /
+    weights.sum())` makes from one `rng.random()`.  The sets are drawn
+    POSITIVE_BLOCK at a time, as array code over a block of uniforms drawn
+    at once: the same uniforms, in the same order, as one set after another.
     """
     if not user_items:
         raise ValueError("user has no items to sample from")
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must be in (0, 1]")
+    if set_size < 1:
+        raise ValueError("set_size must be >= 1")
     items = [int(i) for i, _ in user_items]
-    categories = [frozenset(c) for _, c in user_items]
     n = len(items)
     size = min(set_size, n)
     rng = np.random.default_rng(seed)
-    # shares[i, j]: items i and j have a category in common
-    shares = np.array([[bool(a & b) for b in categories] for a in categories])
+    # factor[i]: what a pick of item i multiplies the weights by: 0 for
+    # item i itself, `decay` for the items sharing a category with it (a
+    # weight already 0 stays 0) and 1 for the rest
+    factor = np.where(_shares([c for _, c in user_items]), decay, 1.0)
+    np.fill_diagonal(factor, 0.0)
 
-    covered: set[int] = set()
+    covered = [False] * n
+    left = n
     sets: list[frozenset] = []
-    while len(covered) < n:
-        weights = np.ones(n)
-        chosen: list[int] = []
-        for _ in range(size):
-            probs = weights / weights.sum()
-            pick = int(rng.choice(n, p=probs))
-            chosen.append(pick)
-            weights[pick] = 0.0
-            weights[shares[pick] & (weights > 0)] *= decay
-        covered.update(chosen)
-        sets.append(frozenset(items[i] for i in chosen))
-    return sets
+    while True:
+        picks, drawn = _draw_block(factor, size, rng)
+        for row, ok in zip(picks.tolist(), drawn.tolist()):
+            if not ok:
+                raise ValueError("decayed weights underflowed to zero; raise decay")
+            sets.append(frozenset([items[k] for k in row]))
+            for k in row:
+                left -= not covered[k]
+                covered[k] = True
+            if not left:
+                return sets
+
+
+def _shares(categories: Sequence[Iterable[int]]) -> np.ndarray:
+    """shares[i, j]: items i and j have a category in common, from the
+    product of the item x category incidence matrix with itself."""
+    columns: dict[int, int] = {}
+    rows, cols = [], []
+    for r, cats in enumerate(categories):
+        for c in cats:
+            rows.append(r)
+            cols.append(columns.setdefault(c, len(columns)))
+    incidence = np.zeros((len(categories), len(columns)))
+    incidence[rows, cols] = 1.0
+    return incidence @ incidence.T > 0
+
+
+def _draw_block(
+    factor: np.ndarray, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """POSITIVE_BLOCK sets of `size` picks each, as (POSITIVE_BLOCK, size)
+    indices into the items, and whether each set's weights stayed positive."""
+    uniforms = rng.random((POSITIVE_BLOCK, size, 1))
+    weights = np.ones((POSITIVE_BLOCK, len(factor)))
+    cdf = np.empty_like(weights)
+    picks = np.empty((POSITIVE_BLOCK, size), dtype=np.intp)
+    for k in range(size):
+        total = _choice_cdf(weights, cdf)
+        picks[:, k] = pick = _choice_pick(cdf, uniforms[:, k])
+        weights *= factor[pick]
+    # weights only fall, so a row whose total was ever 0 (rng.choice's NaN
+    # probabilities) still has total 0 at its last pick
+    return picks, total[:, 0] > 0
+
+
+def _choice_cdf(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Into `out`, row by row, the CDF that `rng.choice(n, p=w / w.sum())`
+    searches: the cumulative sum of the probabilities over its last entry.
+    A row's sum along a C-contiguous (B, n) array is numpy's pairwise 1-D
+    sum.  Returns the row sums, (B, 1)."""
+    total = np.add.reduce(weights, axis=1, keepdims=True)
+    np.divide(weights, total, out=out)
+    np.add.accumulate(out, axis=1, out=out)
+    out /= out[:, -1:]
+    return total
+
+
+def _choice_pick(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Row by row, `cdf.searchsorted(u, side="right")` for the (B, 1)
+    `uniforms`: the count of CDF entries <= u, as the CDF does not
+    decrease."""
+    return np.add.reduce(cdf <= uniforms, axis=1)
 
 
 def sample_negative_set(
-    positive: Iterable[int],
-    positive_categories: Mapping[int, frozenset],
-    user_history: set[int],
-    pools: Mapping[int, np.ndarray],
+    pools: Sequence[Sequence[int]],
+    unseen: Sequence[int],
     rng: np.random.Generator,
-    all_items: Sequence[int],
 ) -> frozenset:
-    """Negative set matching the positive set's categories item-for-item.
+    """Negative set matching a positive set's categories item-for-item.
 
-    `pools` maps a category to the sorted catalog items in it that the user
-    never interacted with (see `unseen_by_category`).  Each positive item's
-    match is drawn uniformly from the union of its categories' pools, less
-    the items already chosen.  Falls back to a uniform draw over unseen
-    items when that union is empty.
+    `pools[k]` is the candidate pool of the k-th positive item in ascending
+    item order: the sorted catalog items outside the user's history that
+    share a category with it (see `unseen_pool`).  Each match is drawn
+    uniformly from its pool less the items already chosen, the draw
+    `rng.choice` makes on that remainder.  Falls back to a uniform draw
+    over `unseen`, the sorted items outside the history, when nothing
+    remains.
     """
     chosen: list[int] = []
-    for pos_item in sorted(positive):
-        own = [pools.get(c, _NO_ITEMS) for c in positive_categories[pos_item]]
-        candidates = own[0] if len(own) == 1 else np.unique(np.concatenate([_NO_ITEMS, *own]))
-        for item in chosen:  # at most set_size - 1 items; cheaper than np.isin
-            candidates = candidates[candidates != item]
-        if not candidates.size:
-            unseen = np.setdiff1d(np.asarray(all_items, dtype=np.intp), list(user_history))
-            candidates = np.setdiff1d(unseen, chosen)
-            if not candidates.size:
-                raise ValueError("catalog exhausted while sampling a negative set")
+    for pool in pools:
+        pick = _draw_unchosen(pool, chosen, rng)
+        if pick is None:
             log.debug("category-matched pool empty; falling back to uniform unseen draw")
-        chosen.append(int(rng.choice(candidates)))
+            pick = _draw_unchosen(unseen, chosen, rng)
+            if pick is None:
+                raise ValueError("catalog exhausted while sampling a negative set")
+        chosen.append(pick)
     return frozenset(chosen)
 
 
-def unseen_by_category(
+def _draw_unchosen(
+    pool: Sequence[int], chosen: Sequence[int], rng: np.random.Generator
+) -> int | None:
+    """A uniform draw from the sorted `pool` less `chosen`, or None when
+    nothing remains: `j = rng.integers(0, m)` over the m remaining items,
+    which is `rng.choice(remaining)`, mapped past the chosen positions."""
+    taken = []
+    for item in chosen:
+        at = bisect_left(pool, item)
+        if at < len(pool) and pool[at] == item:
+            taken.append(at)
+    m = len(pool) - len(taken)
+    if not m:
+        return None
+    j = int(rng.integers(0, m))
+    for at in sorted(taken):
+        if at > j:
+            break
+        j += 1
+    return int(pool[j])
+
+
+def unseen_pool(
     catalog_by_category: Mapping[int, Sequence[int]],
-    user_history: set[int],
     categories: Iterable[int],
-) -> dict[int, np.ndarray]:
-    """For each of `categories` in the catalog, its items outside the user's
-    history.  The catalog's per-category items must be sorted and distinct,
-    and so are the pools."""
-    cats = [c for c in categories if c in catalog_by_category]
-    if not cats:
-        return {}
-    # one membership test for all the categories' items at once
-    items = [np.asarray(catalog_by_category[c], dtype=np.intp) for c in cats]
-    seen = np.fromiter(user_history, dtype=np.intp, count=len(user_history))
-    unseen = ~np.isin(np.concatenate(items), seen)
-    bounds = np.cumsum([len(a) for a in items])[:-1]
-    return {c: a[keep] for c, a, keep in zip(cats, items, np.split(unseen, bounds))}
+    unseen_mask: np.ndarray,
+) -> list[int]:
+    """The sorted catalog items in any of `categories` that the boolean mask
+    `unseen_mask` keeps.  The catalog's per-category items must be sorted
+    and distinct."""
+    own = [
+        np.asarray(catalog_by_category[c], dtype=np.intp)
+        for c in categories
+        if c in catalog_by_category
+    ]
+    items = own[0] if len(own) == 1 else np.unique(np.concatenate([_NO_ITEMS, *own]))
+    return items[unseen_mask[items]].tolist()
 
 
 def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
@@ -137,10 +218,9 @@ def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
 def build_paired_sets(
     user: int,
     user_items: Sequence[tuple[int, frozenset]],
-    user_history: set[int],
-    item_categories: Mapping[int, frozenset],
+    user_history: Iterable[int],
     catalog_by_category: Mapping[int, Sequence[int]],
-    all_items: Sequence[int],
+    n_items: int,
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int = 0,
@@ -150,23 +230,21 @@ def build_paired_sets(
     `seed` is the global seed: the positive and the negative sets are drawn
     from the streams `user_seed(seed, user, ...)`, so generation is
     deterministic regardless of user processing order.
-    `catalog_by_category` maps a category to its items, sorted.
+    `catalog_by_category` maps a category to its items, sorted, and the
+    catalog's items are 0..n_items-1.  Each distinct category set of the
+    user's items gets its candidate pool once.
     """
     positives = generate_diverse_sets(
         user_items, decay=decay, set_size=set_size, seed=user_seed(seed, user, POSITIVE_STREAM)
     )
     rng = np.random.default_rng(user_seed(seed, user, NEGATIVE_STREAM))
-    cats = {int(i): frozenset(c) for i, c in user_items}
-    pools = unseen_by_category(catalog_by_category, user_history, set().union(*cats.values()))
+    unseen_mask = np.ones(n_items, dtype=bool)
+    unseen_mask[list(user_history)] = False
+    unseen = np.flatnonzero(unseen_mask)
+    cats_of = {int(i): frozenset(c) for i, c in user_items}
+    pools = {c: unseen_pool(catalog_by_category, c, unseen_mask) for c in set(cats_of.values())}
     negatives = [
-        sample_negative_set(
-            pos,
-            {i: cats.get(i, item_categories[i]) for i in pos},
-            user_history,
-            pools,
-            rng,
-            all_items,
-        )
+        sample_negative_set([pools[cats_of[i]] for i in sorted(pos)], unseen, rng)
         for pos in positives
     ]
     return PairedDiverseSets(user=user, positive=positives, negative=negatives)

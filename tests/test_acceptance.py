@@ -305,17 +305,12 @@ def test_08_end_to_end_directional():
     for item, cats in enumerate(log.item_categories):
         for c in cats:
             catalog.setdefault(c, []).append(item)
-    all_items = list(range(200))
     pairs = []
     for u, tr in enumerate(split.train):
         if not tr:
             continue
         user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(tr)]
-        pairs.append(
-            build_paired_sets(
-                u, user_items, histories[u], log.item_categories, catalog, all_items, seed=u
-            )
-        )
+        pairs.append(build_paired_sets(u, user_items, histories[u], catalog, 200, seed=u))
     kernel, _ = train_kernel(
         pairs, 200, KernelTrainConfig(latent_dim=32, learning_rate=0.005, epochs=20, seed=0)
     )

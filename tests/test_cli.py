@@ -85,6 +85,16 @@ class TestLoadConfig:
         path.write_text("T=3\nkernel_dim=9\nlosses=dsl,cdsl\n")
         assert load_config(str(path), {}).kernel_dim == 9
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"set_size": "0"}, {"set_size": "-2"}, {"decay": "1.5"}, {"decay": "0"}, {"decay": "nan"}],
+    )
+    def test_set_generation_settings_checked(self, overrides):
+        # set_size 0 never covers a user's items; decay must keep weights in (0, 1]
+        with pytest.raises(ValueError):
+            load_config(None, {"T": "3", **overrides})
+        assert load_config(None, {"T": "3", "set_size": "1", "decay": "1"}).set_size == 1
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(T=2, seed=1).resolve()
         b = ExperimentConfig(T=2, seed=1).resolve()
@@ -113,6 +123,14 @@ class TestExitCodes:
         out = tmp_path / "out"
         config = config_file(tmp_path, small_dataset, out, T=3)
         assert main(["--config", str(config), "prepare"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [{"set_size": 0}, {"decay": 1.5}])
+    def test_bad_set_generation_setting_is_config_error(self, tmp_path, small_dataset, setting):
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, **setting)
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert main(["--config", str(config), "gen-sets"]) == 2
         assert not out.exists()
 
     def test_threads_is_no_longer_a_setting(self, tmp_path, small_dataset):

@@ -201,6 +201,41 @@ class TestMakeInstances:
         b = make_instances(split, 60, L=5, T=2, Z=2, seed=9)
         assert a == b
 
+    def test_negatives_equal_the_catalog_scan(self):
+        """The unseen pool from a history mask is the array that a scan over
+        the catalog built, so `rng.choice` draws the same negatives."""
+        from dppseq.data import SplitResult
+
+        def scan_negatives(split, n_items, L, T, Z, seed):
+            histories = user_histories(split)
+            out = []
+            for u, seq in enumerate(split.train):
+                if len(seq) < L + T:
+                    continue
+                rng = np.random.default_rng(np.random.SeedSequence([seed, u]))
+                pool = np.asarray([i for i in range(n_items) if i not in histories[u]], dtype=int)
+                if pool.size < Z:
+                    continue
+                for start in range(len(seq) - L - T + 1):
+                    window = seq[start : start + L + T]
+                    if len(set(window)) == len(window):
+                        out.append(tuple(int(x) for x in rng.choice(pool, size=Z, replace=False)))
+            return out
+
+        setup = np.random.default_rng(4)
+        drawn = 0
+        for case in range(20):
+            n_items = int(setup.integers(12, 60))
+            parts = [
+                [[int(i) for i in setup.integers(n_items, size=setup.integers(k))] for _ in range(6)]
+                for k in (25, 4, 4)
+            ]
+            split = SplitResult(*parts, dropped_users=[])
+            got = [inst.negatives for inst in make_instances(split, n_items, 4, 2, 3, seed=case)]
+            assert got == scan_negatives(split, n_items, 4, 2, 3, seed=case), case
+            drawn += len(got)
+        assert drawn > 100
+
     def test_short_user_contributes_nothing(self):
         from dppseq.data import SplitResult
 

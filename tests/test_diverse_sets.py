@@ -3,21 +3,41 @@
 import numpy as np
 import pytest
 
+from dppseq.cli import main as cli_main
+from dppseq.data import load_interactions, temporal_split, user_histories, write_interactions
 from dppseq.diverse_sets import (
     NEGATIVE_STREAM,
+    POSITIVE_BLOCK,
     POSITIVE_STREAM,
     build_paired_sets,
     dump_paired_sets,
     generate_diverse_sets,
     load_paired_sets,
     sample_negative_set,
-    unseen_by_category,
+    _choice_cdf,
+    _choice_pick,
+    unseen_pool,
     user_seed,
 )
+from dppseq.synthetic import make_synthetic_log
 
 
 def items_with_cats(cats_per_item):
     return [(i, frozenset(c)) for i, c in enumerate(cats_per_item)]
+
+
+def unseen_mask(n_items, history):
+    mask = np.ones(n_items, dtype=bool)
+    mask[list(history)] = False
+    return mask
+
+
+def negative_pools(positive, positive_categories, catalog, history, n_items):
+    """sample_negative_set's arguments for a positive set: each item's pool,
+    in ascending item order, and the unseen items."""
+    mask = unseen_mask(n_items, history)
+    pools = [unseen_pool(catalog, positive_categories[i], mask) for i in sorted(positive)]
+    return pools, np.flatnonzero(mask)
 
 
 class TestGenerateDiverseSets:
@@ -72,65 +92,91 @@ class TestGenerateDiverseSets:
         with pytest.raises(ValueError):
             generate_diverse_sets([], seed=0)
 
+    @pytest.mark.parametrize("set_size", [0, -1])
+    def test_set_size_below_one_rejected(self, set_size):
+        # a set of no items never adds coverage, so this would never return
+        with pytest.raises(ValueError, match="set_size"):
+            generate_diverse_sets([(0, frozenset({0})), (1, frozenset({1}))], set_size=set_size)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.5, float("nan")])
+    def test_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ValueError, match="decay"):
+            generate_diverse_sets(items_with_cats([[0], [1]]), decay=decay)
+
+
+class TestChoiceArithmetic:
+    """The block code's pieces against the 1-D arithmetic of
+    `rng.choice(n, p=w / w.sum())`, bit for bit."""
+
+    def random_weights(self, setup):
+        n = int(setup.integers(1, 300))
+        rows = int(setup.integers(1, 2 * POSITIVE_BLOCK))
+        if setup.random() < 0.5:
+            # decayed weights: powers of one decay, some picked (0)
+            weights = setup.uniform(0.01, 1.0) ** setup.integers(0, 12, size=(rows, n))
+            weights *= setup.random((rows, n)) > 0.3
+        else:
+            weights = setup.random((rows, n)) * 10.0 ** setup.integers(-30, 30, size=(rows, n))
+        weights[:, setup.integers(n)] = 1.0  # no row is all 0
+        return weights
+
+    def test_row_cdf_is_the_1d_cdf(self):
+        setup = np.random.default_rng(7)
+        for case in range(400):
+            weights = self.random_weights(setup)
+            cdf = np.empty_like(weights)
+            total = _choice_cdf(weights, cdf)
+            for r, w in enumerate(weights):
+                assert total[r, 0] == w.sum(), case
+                want = (w / w.sum()).cumsum()
+                want /= want[-1]
+                assert cdf[r].tobytes() == want.tobytes(), (case, r)
+
+    def test_pick_is_searchsorted_right(self):
+        setup = np.random.default_rng(8)
+        for case in range(400):
+            weights = self.random_weights(setup)
+            cdf = np.empty_like(weights)
+            _choice_cdf(weights, cdf)
+            # random uniforms, 0, and CDF entries themselves (ties)
+            u = setup.random(len(cdf))
+            u[setup.random(len(cdf)) < 0.3] = 0.0
+            ties = setup.random(len(cdf)) < 0.4
+            u[ties] = cdf[ties, setup.integers(cdf.shape[1])]
+            want = [np.searchsorted(row, x, side="right") for row, x in zip(cdf, u)]
+            assert _choice_pick(cdf, u[:, None]).tolist() == want, case
+
 
 class TestSampleNegativeSet:
     def setup_method(self):
         # catalog: items 0-9 in cat 0, 10-19 in cat 1
         self.catalog = {0: list(range(10)), 1: list(range(10, 20))}
-        self.all_items = list(range(20))
+        self.cats = {i: frozenset([0 if i < 10 else 1]) for i in range(20)}
+
+    def sample(self, positive, history, rng):
+        pools, unseen = negative_pools(positive, self.cats, self.catalog, history, 20)
+        return sample_negative_set(pools, unseen, rng)
 
     def test_category_matching(self):
-        rng = np.random.default_rng(0)
-        neg = sample_negative_set(
-            positive={0, 10},
-            positive_categories={0: frozenset([0]), 10: frozenset([1])},
-            user_history={0, 10},
-            pools=unseen_by_category(self.catalog, {0, 10}, (0, 1)),
-            rng=rng,
-            all_items=self.all_items,
-        )
+        neg = self.sample({0, 10}, {0, 10}, np.random.default_rng(0))
         assert len(neg) == 2
         assert any(i < 10 for i in neg) and any(i >= 10 for i in neg)
         assert not neg & {0, 10}
 
     def test_fallback_when_category_exhausted(self):
-        rng = np.random.default_rng(0)
         # user has seen every cat-0 item, so the match falls back to unseen
-        neg = sample_negative_set(
-            positive={0},
-            positive_categories={0: frozenset([0])},
-            user_history=set(range(10)),
-            pools=unseen_by_category(self.catalog, set(range(10)), (0, 1)),
-            rng=rng,
-            all_items=self.all_items,
-        )
+        neg = self.sample({0}, set(range(10)), np.random.default_rng(0))
         assert len(neg) == 1
         assert next(iter(neg)) >= 10
 
     def test_catalog_exhausted_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_negative_set(
-                positive={0},
-                positive_categories={0: frozenset([0])},
-                user_history=set(range(20)),
-                pools=unseen_by_category(self.catalog, set(range(20)), (0, 1)),
-                rng=rng,
-                all_items=self.all_items,
-            )
+            self.sample({0}, set(range(20)), np.random.default_rng(0))
 
     def test_never_returns_history_items(self):
         history = set(range(0, 20, 2))
         for seed in range(200):
-            rng = np.random.default_rng(seed)
-            neg = sample_negative_set(
-                positive={0, 11},
-                positive_categories={0: frozenset([0]), 11: frozenset([1])},
-                user_history=history,
-                pools=unseen_by_category(self.catalog, history, (0, 1)),
-                rng=rng,
-                all_items=self.all_items,
-            )
+            neg = self.sample({0, 11}, history, np.random.default_rng(seed))
             assert not neg & history
 
 
@@ -155,6 +201,42 @@ def reference_sample_negative_set(
         candidates = sorted(set(candidates))
         chosen.add(int(rng.choice(candidates)))
     return frozenset(chosen)
+
+
+def reference_generate_diverse_sets(user_items, decay=0.5, set_size=5, seed=0):
+    """The one `rng.choice(n, p=...)` per pick that `generate_diverse_sets`
+    replaced."""
+    items = [int(i) for i, _ in user_items]
+    categories = [frozenset(c) for _, c in user_items]
+    n = len(items)
+    size = min(set_size, n)
+    rng = np.random.default_rng(seed)
+    shares = np.array([[bool(a & b) for b in categories] for a in categories])
+    covered = set()
+    sets = []
+    while len(covered) < n:
+        weights = np.ones(n)
+        chosen = []
+        for _ in range(size):
+            probs = weights / weights.sum()
+            pick = int(rng.choice(n, p=probs))
+            chosen.append(pick)
+            weights[pick] = 0.0
+            weights[shares[pick] & (weights > 0)] *= decay
+        covered.update(chosen)
+        sets.append(frozenset(items[i] for i in chosen))
+    return sets
+
+
+def random_user_items(setup, n):
+    """n distinct item ids in random order, with one to three of up to six
+    categories each."""
+    n_cats = int(setup.integers(1, 7))
+    ids = setup.choice(10 * n, n, replace=False)
+    return [
+        (int(i), frozenset(int(c) for c in setup.integers(n_cats, size=setup.integers(1, 4))))
+        for i in ids
+    ]
 
 
 class TestMatchesReference:
@@ -183,10 +265,8 @@ class TestMatchesReference:
             positive = {int(i) for i in setup.choice(n_items, size, replace=False)}
             positive_cats = {i: item_cats[i] for i in positive}
             all_items = list(range(n_items))
-            pools = unseen_by_category(catalog, history, range(n_cats))
-            fallbacks += any(
-                not any(len(pools.get(c, ())) for c in positive_cats[i]) for i in positive
-            )
+            pools, unseen = negative_pools(positive, positive_cats, catalog, history, n_items)
+            fallbacks += not all(pools)
             rng_ref, rng_new = np.random.default_rng(case), np.random.default_rng(case)
             try:
                 want = reference_sample_negative_set(
@@ -195,12 +275,42 @@ class TestMatchesReference:
             except ValueError:
                 exhausted += 1
                 with pytest.raises(ValueError):
-                    sample_negative_set(positive, positive_cats, history, pools, rng_new, all_items)
+                    sample_negative_set(pools, unseen, rng_new)
                 continue
-            got = sample_negative_set(positive, positive_cats, history, pools, rng_new, all_items)
+            got = sample_negative_set(pools, unseen, rng_new)
             assert got == want, case
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state, case
         assert exhausted > 0 and fallbacks > exhausted, (exhausted, fallbacks)
+
+    def test_positive_sets_equal_one_choice_per_pick(self):
+        """Random users of 1 to 40 items, decay in (0, 1] with 1.0 among
+        them, and set sizes below and above the item count: the set lists
+        equal those of one `rng.choice(n, p=...)` per pick, which rests on
+        the row sums and counts of the array code matching numpy's 1-D sum
+        and searchsorted bit for bit."""
+        sizes_seen = set()
+        for case in range(300):
+            setup = np.random.default_rng([case, 2])
+            n = int(setup.integers(1, 41))
+            user_items = random_user_items(setup, n)
+            decay = 1.0 if case % 5 == 0 else float(setup.uniform(0.01, 1.0))
+            set_size = int(setup.integers(1, n + 4))
+            sizes_seen.add(set_size > n)
+            seed = user_seed(case, 1, POSITIVE_STREAM)
+            want = reference_generate_diverse_sets(user_items, decay, set_size, seed)
+            got = generate_diverse_sets(user_items, decay=decay, set_size=set_size, seed=seed)
+            assert got == want, case
+        assert sizes_seen == {False, True}
+
+    def test_underflowed_weights_rejected_like_choice(self):
+        # the third pick finds every weight decayed to 0, where rng.choice
+        # raises on its NaN probabilities
+        user_items = items_with_cats([[0]] * 4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                reference_generate_diverse_sets(user_items, decay=1e-200, set_size=3)
+            with pytest.raises(ValueError):
+                generate_diverse_sets(user_items, decay=1e-200, set_size=3)
 
 
 class TestUserStreams:
@@ -220,11 +330,8 @@ class TestUserStreams:
     def test_build_paired_sets_draws_from_the_user_streams(self):
         catalog = {0: list(range(10)), 1: list(range(10, 20))}
         user_items = items_with_cats([[0], [1], [0], [1], [0], [1], [0]])
-        item_categories = {i: frozenset([0 if i < 10 else 1]) for i in range(20)}
         for user in (4, 5):
-            pairs = build_paired_sets(
-                user, user_items, set(range(7)), item_categories, catalog, list(range(20)), seed=0
-            )
+            pairs = build_paired_sets(user, user_items, set(range(7)), catalog, 20, seed=0)
             assert pairs.positive == generate_diverse_sets(
                 user_items, seed=user_seed(0, user, POSITIVE_STREAM)
             )
@@ -236,14 +343,12 @@ class TestBuildPairedSets:
         user_items = items_with_cats(
             [[0]] * 3 + [[1]] * 3
         )  # user interacted with items 0..5
-        item_categories = {i: frozenset([0 if i < 10 else 1]) for i in range(20)}
         pairs = build_paired_sets(
             user=7,
             user_items=user_items,
             user_history=set(range(6)),
-            item_categories=item_categories,
             catalog_by_category=catalog,
-            all_items=list(range(20)),
+            n_items=20,
             seed=5,
         )
         assert pairs.user == 7
@@ -256,13 +361,59 @@ class TestBuildPairedSets:
     def test_dump_load_round_trip(self, tmp_path):
         catalog = {0: list(range(10))}
         user_items = items_with_cats([[0]] * 5)
-        item_categories = {i: frozenset([0]) for i in range(10)}
-        pairs = build_paired_sets(
-            0, user_items, set(range(5)), item_categories, catalog, list(range(10)), seed=0
-        )
+        pairs = build_paired_sets(0, user_items, set(range(5)), catalog, 10, seed=0)
         path = tmp_path / "sets.tsv"
         dump_paired_sets([pairs], path)
         loaded = load_paired_sets(path)
         assert len(loaded) == 1
         assert loaded[0].positive == pairs.positive
         assert loaded[0].negative == pairs.negative
+
+
+def reference_sets_file(out, T, decay, set_size, seed):
+    """diverse_sets.tsv as the per-pick `rng.choice` reference functions
+    write it, from the filtered log of a prepared pipeline."""
+    log = load_interactions(out / "filtered.csv")
+    split = temporal_split(log, T)
+    histories = user_histories(split)
+    catalog = {}
+    for item, cats in enumerate(log.item_categories):
+        for c in cats:
+            catalog.setdefault(c, []).append(item)
+    lines = []
+    for u, train in enumerate(split.train):
+        if not train:
+            continue
+        user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(train)]
+        positives = reference_generate_diverse_sets(
+            user_items, decay, set_size, user_seed(seed, u, POSITIVE_STREAM)
+        )
+        rng = np.random.default_rng(user_seed(seed, u, NEGATIVE_STREAM))
+        cats = dict(user_items)
+        for pos in positives:
+            neg = reference_sample_negative_set(
+                pos, cats, histories[u], catalog, rng, range(log.n_items)
+            )
+            lines.append(f"{u}\t+\t{','.join(map(str, sorted(pos)))}\n")
+            lines.append(f"{u}\t-\t{','.join(map(str, sorted(neg)))}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("decay, set_size", [(0.5, 5), (0.3, 3)])
+def test_gen_sets_matches_the_choice_reference(tmp_path, decay, set_size):
+    """The acceptance determinism pipeline: if numpy ever changes the draws
+    of `rng.choice`, this fails instead of the sets drifting silently."""
+    dataset = tmp_path / "interactions.csv"
+    log = make_synthetic_log(n_users=30, n_items=50, n_categories=5, seq_len=14, seed=0)
+    write_interactions(dataset, log)
+    out = tmp_path / "out"
+    config = tmp_path / "config.txt"
+    config.write_text(
+        f"dataset={dataset}\nout={out}\nT=2\nk_core=2\nkernel_dim=8\nkernel_epochs=5\n"
+        "kernel_lr=0.01\nscorer_dim=8\nmax_epochs=3\nlosses=ce,cdsl\nseed=3\n"
+        f"decay={decay}\nset_size={set_size}\n"
+    )
+    assert cli_main(["--config", str(config), "prepare"]) == 0
+    assert cli_main(["--config", str(config), "gen-sets"]) == 0
+    want = reference_sets_file(out, 2, decay, set_size, seed=3)
+    assert (out / "diverse_sets.tsv").read_bytes() == want
