@@ -9,6 +9,7 @@ import numpy as np
 
 from dppseq.diverse_sets import PairedDiverseSets
 from dppseq.kernel_learning import (
+    JITTER,
     KernelTrainConfig,
     normalize_kernel,
     paired_set_objective,
@@ -36,7 +37,7 @@ kernel, history = train_kernel(train_pairs, 20, config)
 
 print(f"objective: {history[0]:.1f} -> {history[-1]:.1f} over {len(history)} epochs")
 
-margins = [paired_set_objective(kernel, [p], jitter=config.jitter) for p in held_out]
+margins = [paired_set_objective(kernel, [p], jitter=JITTER) for p in held_out]
 print(f"held-out pair margin (mean): {np.mean(margins):.3f}  (positive = learned)")
 
 # after unit-row normalization, within-cluster items should be more similar

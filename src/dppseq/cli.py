@@ -23,7 +23,7 @@ from . import data as data_mod
 from . import diverse_sets as ds_mod
 from . import kernel_learning as kl_mod
 from . import scorer as scorer_mod
-from .data import SequenceInstance, SplitResult
+from .data import Instances
 from .kernels import SingularMatrixError
 from .metrics import MetricRow, MetricTable
 
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+
+# the lowest value of each integer setting; L = 0 and Z = 0 derive them from T
+_LOWEST = dict(T=1, L=0, Z=0, k_core=1, kernel_dim=1, kernel_epochs=1, set_size=1, scorer_dim=1,
+               batch_size=1, max_epochs=1)
 
 
 @dataclass
@@ -59,15 +64,34 @@ class ExperimentConfig:
     out: str = "out"
 
     def resolve(self) -> "ExperimentConfig":
+        for name, low in _LOWEST.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.n_list or min(self.n_list) < 1:
+            raise ValueError(f"n_list must hold cutoffs N >= 1, got {self.n_list}")
+        for name in ("kernel_lr", "scorer_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.kernel_l2 >= 0:
+            raise ValueError(f"kernel_l2 must be >= 0, got {self.kernel_l2}")
+        if not 0.0 < self.decay <= 1.0:
+            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+        # the smallest weight a set's last pick can meet is 1.0 times decay,
+        # set_size - 1 times over.  A product by a decay above 0.5 never
+        # rounds to 0, and one by at most 0.5 halves it, so 1,100 products
+        # decide whether it underflows
+        weight = 1.0
+        for _ in range(min(self.set_size - 1, 1100)):
+            weight *= self.decay
+        if weight == 0.0:
+            raise ValueError(
+                f"decay {self.decay} underflows to 0 within set_size={self.set_size} picks"
+            )
         L, Z = data_mod.default_lengths(self.T)
         if self.L == 0:
             self.L = L
         if self.Z == 0:
             self.Z = Z
-        if self.set_size < 1:
-            raise ValueError(f"set_size must be >= 1, got {self.set_size}")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if "dsl" in self.losses and self.T <= 1:
             raise ValueError("dsl requires T > 1; drop it from `losses` or raise T")
         unknown = set(self.losses) - set(scorer_mod.LOSS_KINDS)
@@ -157,40 +181,27 @@ def _instances_path(config: ExperimentConfig) -> Path:
     return _out_dir(config) / "instances.tsv"
 
 
-def _write_instances(path: Path, config: ExperimentConfig, instances) -> None:
-    lines = ["user\tprevious\ttargets\tnegatives\ttime_step"]
-    for inst in instances:
-        lines.append(
-            "\t".join(
-                [
-                    str(inst.user),
-                    ",".join(map(str, inst.previous)),
-                    ",".join(map(str, inst.targets)),
-                    ",".join(map(str, inst.negatives)),
-                    str(inst.time_step),
-                ]
-            )
-        )
+def _write_instances(path: Path, config: ExperimentConfig, instances: Instances) -> None:
+    """One line per instance: user, then its previous items, targets and
+    negatives as comma lists, then its time step, tab-separated."""
+    L, T = instances.L, instances.T
+    lists = [",".join(["%d"] * n) for n in (L, T, instances.items.shape[1] - L - T)]
+    line = "\t".join(["%d", *lists, "%d"])
+    table = np.column_stack([instances.users, instances.items, instances.time_steps]).tolist()
+    lines = ["user\tprevious\ttargets\tnegatives\ttime_step"] + [line % tuple(r) for r in table]
     _write_stamped(path, config, "\n".join(lines) + "\n")
 
 
-def _read_instances(path: Path) -> list[SequenceInstance]:
-    instances = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#") or line.startswith("user\t") or not line:
-            continue
-        user, prev, targets, negs, step = line.split("\t")
-        parse = lambda s: tuple(int(x) for x in s.split(",") if x)
-        instances.append(
-            SequenceInstance(
-                user=int(user),
-                previous=parse(prev),
-                targets=parse(targets),
-                negatives=parse(negs),
-                time_step=int(step),
-            )
-        )
-    return instances
+def _read_instances(path: Path, config: ExperimentConfig) -> Instances:
+    """The `_write_instances` file of `config` as arrays, in one parse."""
+    stamped = path.read_text().splitlines()
+    lines = [ln for ln in stamped if ln and not ln.startswith(("#", "user\t"))]
+    width = 2 + config.L + config.T + config.Z
+    fields = "\t".join(lines).replace(",", "\t").split("\t") if lines else []
+    if len(fields) != len(lines) * width:
+        raise ValueError(f"{path}: instances do not hold L+T+Z = {width - 2} items each")
+    rows = np.array(fields, dtype=np.intp).reshape(len(lines), width)
+    return Instances(rows[:, 0], rows[:, 1:-1], rows[:, -1], config.L, config.T)
 
 
 def cmd_prepare(config: ExperimentConfig) -> None:
@@ -262,7 +273,7 @@ def cmd_train_kernel(config: ExperimentConfig) -> None:
 def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
     out = _out_dir(config)
     log_, split = _load_prepared(config)
-    instances = _read_instances(_instances_path(config))
+    instances = _read_instances(_instances_path(config), config)
     kernel = None
     if loss_kind in ("dsl", "cdsl"):
         kernel_path = out / "kernel.txt"

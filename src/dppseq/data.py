@@ -11,31 +11,30 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
 EXPECTED_HEADER = ["user_id", "item_id", "timestamp", "categories"]
 
 
-@dataclass(frozen=True)
-class Record:
-    user: int  # dense index
-    item: int
-    timestamp: int
-    categories: frozenset
-
-
-@dataclass
+@dataclass(eq=False)
 class InteractionLog:
-    records: list[Record]
+    """The interaction rows as columns, in file order."""
+
+    users: np.ndarray  # (R,) dense user index of each row
+    items: np.ndarray  # (R,) dense item index
+    timestamps: np.ndarray  # (R,) int64
+    categories: np.ndarray  # (R,) str: the row's distinct category ids, sorted, joined by ";"
     user_ids: list[str]  # dense index -> original id
     item_ids: list[str]
     category_ids: list[str]
-    item_categories: list[frozenset] = field(default_factory=list)  # by item index
+    item_categories: list[frozenset]  # by item index: category indices over all its rows
 
     @property
     def n_users(self) -> int:
@@ -49,25 +48,33 @@ class InteractionLog:
     def n_categories(self) -> int:
         return len(self.category_ids)
 
-    def user_sequences(self) -> list[list[int]]:
-        """Per-user item sequences, timestamp-sorted with stable tie-break."""
-        seqs: list[list[tuple[int, int]]] = [[] for _ in range(self.n_users)]
-        for order, rec in enumerate(self.records):
-            seqs[rec.user].append((rec.timestamp, order))
-        out: list[list[int]] = []
-        for u, entries in enumerate(seqs):
-            entries.sort()
-            out.append([self.records[order].item for _, order in entries])
-        return out
-
 
 @dataclass(frozen=True)
 class SequenceInstance:
+    """One training instance; `Instances` holds them as arrays."""
+
     user: int
     previous: tuple[int, ...]
     targets: tuple[int, ...]
     negatives: tuple[int, ...]
     time_step: int
+
+
+@dataclass(eq=False)
+class Instances:
+    """Training instances of one layout, one per row: the ground set
+    `items[k]` holds L previous items, T targets and Z negatives of user
+    `users[k]`, whose targets start at `time_steps[k]` of their training
+    sequence."""
+
+    users: np.ndarray  # (N,)
+    items: np.ndarray  # (N, L+T+Z)
+    time_steps: np.ndarray  # (N,)
+    L: int
+    T: int
+
+    def __len__(self) -> int:
+        return self.users.shape[0]
 
 
 @dataclass
@@ -85,30 +92,48 @@ def default_lengths(T: int) -> tuple[int, int]:
     return 6, T
 
 
-def _build_log(rows: list[tuple[str, str, int, list[str]]]) -> InteractionLog:
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    cat_map: dict[str, int] = {}
-    records: list[Record] = []
-    item_cats: dict[int, set] = {}
-    for user_s, item_s, ts, cats in rows:
-        u = user_map.setdefault(user_s, len(user_map))
-        i = item_map.setdefault(item_s, len(item_map))
-        cat_idx = frozenset(cat_map.setdefault(c, len(cat_map)) for c in cats)
-        records.append(Record(user=u, item=i, timestamp=ts, categories=cat_idx))
-        item_cats.setdefault(i, set()).update(cat_idx)
+def _codes(labels: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct labels in order of first appearance, and the index of
+    each label among them."""
+    distinct = list(dict.fromkeys(labels))
+    index = {label: k for k, label in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+def _build_log(
+    users: Sequence[str],
+    items: Sequence[str],
+    timestamps: Sequence[int],
+    categories: Sequence[str],
+) -> InteractionLog:
+    """A log from label columns, each category cell a ";"-separated list.
+    Users, items and categories are indexed densely in order of first
+    appearance, a row's categories in the order listed."""
+    user_ids, user_codes = _codes(users)
+    item_ids, item_codes = _codes(items)
+    cells, cell_codes = _codes(categories)
+    parts = [[c for c in cell.split(";") if c] for cell in cells]
+    category_ids = list(dict.fromkeys(chain.from_iterable(parts)))
+    index = {c: k for k, c in enumerate(category_ids)}
+    canonical = np.array([";".join(sorted(set(p))) for p in parts], dtype=object)
+    item_cats: list[set] = [set() for _ in item_ids]
+    for pair in np.unique(item_codes * len(cells) + cell_codes).tolist():
+        item_cats[pair // len(cells)].update(index[c] for c in parts[pair % len(cells)])
     return InteractionLog(
-        records=records,
-        user_ids=list(user_map),
-        item_ids=list(item_map),
-        category_ids=list(cat_map),
-        item_categories=[frozenset(item_cats[i]) for i in range(len(item_map))],
+        users=user_codes,
+        items=item_codes,
+        timestamps=np.asarray(timestamps, dtype=np.int64),
+        categories=canonical[cell_codes],
+        user_ids=user_ids,
+        item_ids=item_ids,
+        category_ids=category_ids,
+        item_categories=[frozenset(c) for c in item_cats],
     )
 
 
-def load_interactions(path, strict: bool = True) -> InteractionLog:
+def load_interactions(path) -> InteractionLog:
     """Parse the interaction CSV into a densely indexed log."""
-    rows: list[tuple[str, str, int, list[str]]] = []
+    rows: list[tuple[str, str, int, str]] = []
     malformed: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -120,74 +145,68 @@ def load_interactions(path, strict: bool = True) -> InteractionLog:
                 continue
             try:
                 user_s, item_s, ts_s, cats_s = row
-                cats = [c for c in cats_s.split(";") if c]
-                if not cats or not user_s or not item_s:
+                if not user_s or not item_s or not cats_s.strip(";"):
                     raise ValueError
-                rows.append((user_s, item_s, int(ts_s), cats))
+                rows.append((user_s, item_s, int(ts_s), cats_s))
             except ValueError:
                 malformed.append(lineno)
     if malformed:
-        if strict:
-            raise ValueError(f"malformed lines: {malformed[:10]} ({len(malformed)} total)")
-        log.warning("skipped %d malformed lines", len(malformed))
-    return _build_log(rows)
+        raise ValueError(f"malformed lines: {malformed[:10]} ({len(malformed)} total)")
+    try:
+        return _build_log(*(tuple(zip(*rows)) or ((),) * 4))
+    except OverflowError:
+        raise ValueError("timestamps must fit in 64 bits") from None
 
 
 def write_interactions(path, log_: InteractionLog) -> None:
+    """One row per interaction, in the log's order, with the row's own categories."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EXPECTED_HEADER)
-        for rec in log_.records:
-            writer.writerow(
-                [
-                    log_.user_ids[rec.user],
-                    log_.item_ids[rec.item],
-                    rec.timestamp,
-                    ";".join(sorted(log_.category_ids[c] for c in rec.categories)),
-                ]
+        writer.writerows(
+            zip(
+                np.asarray(log_.user_ids, dtype=object)[log_.users],
+                np.asarray(log_.item_ids, dtype=object)[log_.items],
+                log_.timestamps.tolist(),
+                log_.categories,
             )
+        )
 
 
 def k_core_filter(log_: InteractionLog, k: int = 10) -> InteractionLog:
-    """Drop users and items with fewer than k interactions until a fixed point."""
+    """Drop users and items with fewer than k interactions until a fixed
+    point, then index the surviving rows afresh, as a file of them would be."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    records = log_.records
+    keep = np.ones(log_.users.shape, dtype=bool)
     while True:
-        user_deg: dict[int, int] = {}
-        item_deg: dict[int, int] = {}
-        for rec in records:
-            user_deg[rec.user] = user_deg.get(rec.user, 0) + 1
-            item_deg[rec.item] = item_deg.get(rec.item, 0) + 1
-        keep = [
-            rec
-            for rec in records
-            if user_deg[rec.user] >= k and item_deg[rec.item] >= k
-        ]
-        if len(keep) == len(records):
+        user_deg = np.bincount(log_.users[keep], minlength=log_.n_users)
+        item_deg = np.bincount(log_.items[keep], minlength=log_.n_items)
+        kept = keep & (user_deg[log_.users] >= k) & (item_deg[log_.items] >= k)
+        if np.array_equal(kept, keep):
             break
-        records = keep
-    if not records:
+        keep = kept
+    if not keep.any():
         raise ValueError(f"no interactions survive {k}-core filtering")
-    rows = [
-        (
-            log_.user_ids[rec.user],
-            log_.item_ids[rec.item],
-            rec.timestamp,
-            sorted(log_.category_ids[c] for c in rec.categories),
-        )
-        for rec in records
-    ]
-    return _build_log(rows)
+    return _build_log(
+        np.asarray(log_.user_ids, dtype=object)[log_.users[keep]].tolist(),
+        np.asarray(log_.item_ids, dtype=object)[log_.items[keep]].tolist(),
+        log_.timestamps[keep],
+        log_.categories[keep].tolist(),
+    )
 
 
 def temporal_split(log_: InteractionLog, T: int) -> SplitResult:
     """Per user: last T actions to test; of the rest, first 90% (floor) to
     train and the remainder to validation.  Users that cannot fill all three
-    parts are dropped."""
-    sequences = log_.user_sequences()
+    parts are dropped.  A user's actions are ordered by timestamp, ties in
+    file order."""
+    order = np.lexsort((log_.timestamps, log_.users))
+    items = log_.items[order].tolist()
+    ends = np.cumsum(np.bincount(log_.users, minlength=log_.n_users)).tolist()
     train, valid, test, dropped = [], [], [], []
-    for u, seq in enumerate(sequences):
+    for u, end in enumerate(ends):
+        seq = items[ends[u - 1] if u else 0 : end]
         if len(seq) <= T + 1:
             dropped.append(u)
             train.append([])
@@ -219,43 +238,54 @@ def make_instances(
     T: int,
     Z: int,
     seed: int = 0,
-) -> list[SequenceInstance]:
+) -> Instances:
     """Slide a length L+T window with stride 1 over each user's training
     sequence; negatives are drawn uniformly from items the user never
     interacted with (across all splits)."""
     if L < 1 or T < 1 or Z < 1:
         raise ValueError("L, T, Z must all be >= 1")
-    histories = user_histories(split)
-    instances: list[SequenceInstance] = []
-    for u, seq in enumerate(split.train):
-        if len(seq) < L + T:
-            continue
+    lengths = np.fromiter(map(len, split.train), np.intp, len(split.train))
+    ends = np.cumsum(lengths)
+    flat = np.fromiter(chain.from_iterable(split.train), np.intp, int(lengths.sum()))
+    # every window of the concatenated sequences, kept where it lies within
+    # one user's sequence and holds distinct items: repeated interactions
+    # break the distinct-items ground-set contract, so such windows carry
+    # no usable set signal
+    if flat.size >= L + T:
+        windows = sliding_window_view(flat, L + T)
+    else:
+        windows = np.empty((0, L + T), dtype=np.intp)
+    owner = np.repeat(np.arange(lengths.size), lengths)[: len(windows)]
+    ordered = np.sort(windows, axis=1)
+    rows = np.flatnonzero(
+        (np.arange(len(windows)) + L + T <= ends[owner])
+        & np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    )
+    users = owner[rows]
+    counts = np.bincount(users, minlength=lengths.size).tolist()
+    negatives = np.empty((rows.size, Z), dtype=np.intp)
+    drawn = np.ones(rows.size, dtype=bool)
+    at = 0  # rows run in flat order, so each user's rows are one run
+    for u in np.flatnonzero(lengths >= L + T).tolist():
         rng = np.random.default_rng(np.random.SeedSequence([seed, u]))
         seen = np.zeros(n_items, dtype=bool)
-        seen[list(histories[u])] = True
+        seen[split.train[u] + split.valid[u] + split.test[u]] = True
         pool = np.flatnonzero(~seen)
         if pool.size < Z:
             log.warning("user %d has too few unseen items for Z=%d negatives", u, Z)
-            continue
-        for start in range(len(seq) - L - T + 1):
-            window = seq[start : start + L + T]
-            if len(set(window)) != len(window):
-                # repeated interactions break the distinct-items ground-set
-                # contract; such windows carry no usable set signal
-                continue
-            previous = tuple(window[:L])
-            targets = tuple(window[L:])
-            negatives = tuple(int(x) for x in rng.choice(pool, size=Z, replace=False))
-            instances.append(
-                SequenceInstance(
-                    user=u,
-                    previous=previous,
-                    targets=targets,
-                    negatives=negatives,
-                    time_step=start + L,
-                )
-            )
-    return instances
+            drawn[at : at + counts[u]] = False
+        else:
+            for k in range(at, at + counts[u]):
+                negatives[k] = rng.choice(pool, size=Z, replace=False)
+        at += counts[u]
+    rows, users = rows[drawn], users[drawn]
+    return Instances(
+        users=users,
+        items=np.hstack([windows[rows], negatives[drawn]]),
+        time_steps=rows - (ends - lengths)[users] + L,
+        L=L,
+        T=T,
+    )
 
 
 def write_split_manifest(path, split: SplitResult) -> None:

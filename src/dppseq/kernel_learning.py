@@ -29,9 +29,7 @@ class KernelTrainConfig:
     learning_rate: float = 0.05
     epochs: int = 100
     l2_reg: float = 0.01
-    jitter: float = 1e-6
     seed: int = 0
-    init_scale: float | None = None  # defaults to 1/sqrt(latent_dim)
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -39,11 +37,8 @@ class KernelTrainConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
-    @property
-    def resolved_init_scale(self) -> float:
-        return self.init_scale if self.init_scale is not None else 1.0 / np.sqrt(self.latent_dim)
 
-
+JITTER = 1e-6  # added to each set's Gram diagonal while fitting
 BLOCK_SETS = 128  # sets factored at once; bounds an evaluation's memory, whatever the set count
 
 
@@ -123,15 +118,6 @@ def paired_set_objective(
     return _objective_and_gradient(kernel.factors, _group_sets(pairs), l2_reg, jitter)[0]
 
 
-def _objective_gradient(
-    V: np.ndarray,
-    pairs: Sequence[PairedDiverseSets],
-    l2_reg: float,
-    jitter: float,
-) -> np.ndarray:
-    return _objective_and_gradient(V, _group_sets(pairs), l2_reg, jitter)[1]
-
-
 def train_kernel(
     pairs: Sequence[PairedDiverseSets],
     n_items: int,
@@ -146,7 +132,7 @@ def train_kernel(
     if not pairs:
         raise ValueError("no training pairs supplied")
     rng = np.random.default_rng(config.seed)
-    scale = config.resolved_init_scale
+    scale = 1.0 / np.sqrt(config.latent_dim)
     V = rng.uniform(-scale, scale, size=(n_items, config.latent_dim))
 
     groups = _group_sets(pairs)
@@ -155,10 +141,10 @@ def train_kernel(
     regressions = 0
     # one evaluation per epoch: the objective at the updated factors is
     # logged, and its gradient takes the next step
-    _, grad = _objective_and_gradient(V, groups, config.l2_reg, config.jitter)
+    _, grad = _objective_and_gradient(V, groups, config.l2_reg, JITTER)
     for epoch in range(config.epochs):
         V = V + lr * grad
-        obj, grad = _objective_and_gradient(V, groups, config.l2_reg, config.jitter)
+        obj, grad = _objective_and_gradient(V, groups, config.l2_reg, JITTER)
         if not np.isfinite(obj):
             raise FloatingPointError(f"objective became non-finite at epoch {epoch}")
         if history and obj < history[-1]:

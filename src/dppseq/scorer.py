@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import losses as losses_mod
-from .data import SequenceInstance, SplitResult, read_checkpoint, write_checkpoint
+from .data import Instances, SequenceInstance, SplitResult, read_checkpoint, write_checkpoint
 from .kernels import DiversityKernelLowRank
 from .metrics import MetricTable, evaluate_ranking_fn, ndcg_at, rank_candidates
 
@@ -108,76 +108,35 @@ class _Grads:
         self.touched.clear()
 
 
-@dataclass
-class _Stack:
-    """Instances of one layout (P previous, T targets, Z negatives), one per row."""
-
-    users: np.ndarray  # (B,)
-    previous: np.ndarray  # (B, P)
-    targets: np.ndarray  # (B, T)
-    negatives: np.ndarray  # (B, Z)
-
-    def take(self, rows) -> "_Stack":
-        return _Stack(self.users[rows], self.previous[rows], self.targets[rows], self.negatives[rows])
-
-
-def _stack(params: ScorerParams, instances: Sequence[SequenceInstance]) -> _Stack:
-    """Stack same-layout instances, checking their indices against the tables."""
-    B = len(instances)
-    stack = _Stack(
-        users=np.array([i.user for i in instances], dtype=np.intp),
-        previous=np.array([i.previous for i in instances], dtype=np.intp).reshape(B, -1),
-        targets=np.array([i.targets for i in instances], dtype=np.intp).reshape(B, -1),
-        negatives=np.array([i.negatives for i in instances], dtype=np.intp).reshape(B, -1),
-    )
-    if stack.users.min() < 0 or stack.users.max() >= params.user_emb.shape[0]:
+def _check_indices(params: ScorerParams, users: np.ndarray, items: np.ndarray) -> None:
+    if users.size and (users.min() < 0 or users.max() >= params.user_emb.shape[0]):
         raise ValueError("user index out of range")
-    for idx in (stack.previous, stack.targets, stack.negatives):
-        if idx.size and (idx.min() < 0 or idx.max() >= params.item_out_emb.shape[0]):
-            raise ValueError("item index out of range")
-    return stack
+    if items.size and (items.min() < 0 or items.max() >= params.item_out_emb.shape[0]):
+        raise ValueError("item index out of range")
 
 
-def _stack_by_layout(
-    params: ScorerParams, instances: Sequence[SequenceInstance]
-) -> tuple[list[_Stack], np.ndarray, np.ndarray]:
-    """One stack per layout, plus each instance's stack and row within it."""
-    layouts: dict[tuple[int, int, int], int] = {}
-    group = np.array(
-        [
-            layouts.setdefault((len(i.previous), len(i.targets), len(i.negatives)), len(layouts))
-            for i in instances
-        ],
-        dtype=np.intp,
-    )
-    stacks = []
-    row = np.empty(len(instances), dtype=np.intp)
-    for g in range(len(layouts)):
-        members = np.flatnonzero(group == g)
-        stacks.append(_stack(params, [instances[i] for i in members]))
-        row[members] = np.arange(members.size)
-    return stacks, group, row
-
-
-def _stack_loss(
+def _batch_loss(
     params: ScorerParams,
-    stack: _Stack,
+    users: np.ndarray,
+    items: np.ndarray,
+    P: int,
+    T: int,
     loss_kind: str,
     kernel: DiversityKernelLowRank | None,
 ) -> tuple[losses_mod.LossBatch, np.ndarray, np.ndarray]:
-    """Losses and score gradients of every row of a stack, with the (B, n)
-    scored items the gradients align with and the (B, d) contexts."""
-    P, T = stack.previous.shape[1], stack.targets.shape[1]
+    """Losses and score gradients of (B, P+T+Z) ground sets, P previous
+    items, T targets and Z negatives per row, with the (B, n) scored items
+    the gradients align with and the (B, d) contexts."""
     if loss_kind == "bpr":
-        # pair the k-th target with the k-th shared negative
-        if stack.negatives.shape[1] < T:
+        # pair the k-th target with the k-th negative
+        if items.shape[1] < P + 2 * T:
             raise ValueError("bpr pairing needs at least as many negatives as targets")
-        scored = np.concatenate([stack.targets, stack.negatives[:, :T]], axis=1)
+        scored = items[:, P : P + 2 * T]
     elif loss_kind == "cdsl":
-        scored = np.concatenate([stack.previous, stack.targets, stack.negatives], axis=1)
+        scored = items
     else:
-        scored = np.concatenate([stack.targets, stack.negatives], axis=1)
-    contexts = _contexts(params, stack.users, stack.previous)
+        scored = items[:, P:]
+    contexts = _contexts(params, users, items[:, :P])
     s = np.einsum("bnd,bd->bn", params.item_out_emb[scored], contexts)
     s += params.item_bias[scored]
     if loss_kind == "ce":
@@ -259,13 +218,19 @@ def instance_loss(
 ) -> tuple[losses_mod.LossResult, Sequence[int]]:
     """Loss value + score gradient for one instance; also returns the list of
     scored items the gradient aligns with."""
-    loss, scored, _ = _stack_loss(params, _stack(params, [instance]), loss_kind, kernel)
+    users = np.array([instance.user], dtype=np.intp)
+    items = np.array(
+        [[*instance.previous, *instance.targets, *instance.negatives]], dtype=np.intp
+    )
+    _check_indices(params, users, items)
+    P, T = len(instance.previous), len(instance.targets)
+    loss, scored, _ = _batch_loss(params, users, items, P, T, loss_kind, kernel)
     return loss.row(0), scored[0].tolist()
 
 
 def train(
     params: ScorerParams,
-    instances: Sequence[SequenceInstance],
+    instances: Instances,
     loss_kind: str,
     kernel: DiversityKernelLowRank | None,
     config: TrainConfig,
@@ -273,15 +238,15 @@ def train(
 ) -> tuple[ScorerParams, TrainLog]:
     """Mini-batch SGD with early stopping on validation NDCG@5.
 
-    Each minibatch is scored, differentiated and backpropagated as one stack
-    per instance layout, and the parameters change once, at its end.
+    Each minibatch is scored, differentiated and backpropagated as one
+    array of ground sets, and the parameters change once, at its end.
     Returns the parameters from the best validation epoch.  Instances whose
     loss is non-finite (zero-probability sets) are skipped and counted; an
     epoch with more than 1% skips aborts training.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-    if loss_kind == "dsl" and any(len(i.targets) < 2 for i in instances):
+    if loss_kind == "dsl" and instances.T < 2:
         raise ValueError("dsl requires every instance to have more than one target")
     if loss_kind in ("dsl", "cdsl") and kernel is None:
         raise ValueError(f"{loss_kind} requires a diversity kernel")
@@ -292,7 +257,8 @@ def train(
     best_val = -np.inf
     best_params = params.copy()
     since_improve = 0
-    stacks, group, row = _stack_by_layout(params, instances)
+    _check_indices(params, instances.users, instances.items)
+    L, T = instances.L, instances.T
     grads = _Grads()
 
     for epoch in range(config.max_epochs):
@@ -303,26 +269,22 @@ def train(
         skipped = 0
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
-            used = 0
-            for g in np.unique(group[batch]):
-                members = batch[group[batch] == g]
-                stack = stacks[g].take(row[members])
-                loss, scored, contexts = _stack_loss(params, stack, loss_kind, kernel)
-                keep = ~loss.skipped & np.isfinite(loss.values)
-                for value in loss.values[keep]:
-                    total_loss += float(value)
-                n_kept = int(np.count_nonzero(keep))
-                skipped += keep.size - n_kept
-                used += n_kept
-                _backprop(
-                    params,
-                    stack.users[keep],
-                    stack.previous[keep],
-                    scored[keep],
-                    contexts[keep],
-                    loss.grad_scores[keep],
-                    grads,
-                )
+            users, items = instances.users[batch], instances.items[batch]
+            loss, scored, contexts = _batch_loss(params, users, items, L, T, loss_kind, kernel)
+            keep = ~loss.skipped & np.isfinite(loss.values)
+            for value in loss.values[keep]:
+                total_loss += float(value)
+            used = int(np.count_nonzero(keep))
+            skipped += keep.size - used
+            _backprop(
+                params,
+                users[keep],
+                items[keep, :L],
+                scored[keep],
+                contexts[keep],
+                loss.grad_scores[keep],
+                grads,
+            )
             counted += used
             if used:
                 grads.apply(params, config.learning_rate, 1.0 / used)

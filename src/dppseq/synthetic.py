@@ -48,6 +48,6 @@ def make_synthetic_log(
                 continue
             item = int(rng.choice(pool))
             seen.add(item)
-            rows.append((f"u{u}", f"i{item}", t, [f"c{item_category[item]}"]))
+            rows.append((f"u{u}", f"i{item}", t, f"c{item_category[item]}"))
             t += 1
-    return _build_log(rows)
+    return _build_log(*zip(*rows))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dppseq.data import Instances, _build_log
 from dppseq.kernels import (
     DiversityKernelLowRank,
     GroundSet,
@@ -36,3 +37,21 @@ def random_sequence_kernel(n, rng, n_targets=None, latent_dim=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def log_from_rows(rows):
+    """An interaction log from (user, item, timestamp, category list) rows."""
+    users, items, timestamps, categories = zip(*rows)
+    return _build_log(users, items, timestamps, [";".join(c) for c in categories])
+
+
+def instance_array(rows):
+    """`SequenceInstance`s of one layout as the `Instances` that `train` takes."""
+    first = rows[0]
+    return Instances(
+        users=np.array([r.user for r in rows], dtype=np.intp),
+        items=np.array([r.previous + r.targets + r.negatives for r in rows], dtype=np.intp),
+        time_steps=np.array([r.time_step for r in rows], dtype=np.intp),
+        L=len(first.previous),
+        T=len(first.targets),
+    )

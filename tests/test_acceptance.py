@@ -22,8 +22,10 @@ from dppseq.data import (
 )
 from dppseq.diverse_sets import PairedDiverseSets, build_paired_sets
 from dppseq.kernel_learning import (
+    JITTER,
     KernelTrainConfig,
-    _objective_gradient,
+    _group_sets,
+    _objective_and_gradient,
     normalize_kernel,
     paired_set_objective,
     train_kernel,
@@ -57,7 +59,7 @@ from dppseq.scorer import (
     validation_ndcg,
 )
 from dppseq.synthetic import make_synthetic_log
-from tests.conftest import random_sequence_kernel, random_unit_row_kernel
+from tests.conftest import instance_array, random_sequence_kernel, random_unit_row_kernel
 
 
 def report(n, name):
@@ -191,7 +193,7 @@ def test_05_gradient_suite():
         pos = frozenset(rng.choice(8, size=2, replace=False).tolist())
         neg = frozenset(rng.choice(8, size=2, replace=False).tolist())
         pairs = [PairedDiverseSets(user=0, positive=[pos], negative=[neg])]
-        analytic = _objective_gradient(V, pairs, l2_reg=0.05, jitter=1e-4)
+        analytic = _objective_and_gradient(V, _group_sets(pairs), 0.05, 1e-4)[1]
         fd = oracle_fd_gradient(
             lambda flat: paired_set_objective(
                 DiversityKernelLowRank(flat.reshape(8, 3)), pairs, 0.05, 1e-4
@@ -272,7 +274,7 @@ def test_06_kernel_learning_sanity():
     held_out = _two_cluster_pairs(rng, 80)
     config = KernelTrainConfig(latent_dim=3, learning_rate=0.01, epochs=200, seed=1)
     kernel, _ = train_kernel(train_pairs, 20, config)
-    margins = [paired_set_objective(kernel, [p], jitter=config.jitter) for p in held_out]
+    margins = [paired_set_objective(kernel, [p], jitter=JITTER) for p in held_out]
     assert float(np.mean(margins)) > 0.0
     assert time.perf_counter() - t0 < 30.0
 
@@ -355,16 +357,18 @@ def test_09_protocol_conformance(tmp_path):
     from dppseq.data import SequenceInstance
 
     rng = np.random.default_rng(9)
-    instances = [
-        SequenceInstance(
-            user=0,
-            previous=tuple(int(x) for x in rng.choice(20, 3, replace=False)),
-            targets=(17, 18),
-            negatives=(15, 16),
-            time_step=3,
-        )
-        for _ in range(8)
-    ]
+    instances = instance_array(
+        [
+            SequenceInstance(
+                user=0,
+                previous=tuple(int(x) for x in rng.choice(20, 3, replace=False)),
+                targets=(17, 18),
+                negatives=(15, 16),
+                time_step=3,
+            )
+            for _ in range(8)
+        ]
+    )
     values = iter([0.5] + [0.4] * 50)
     _, tlog = train(
         init_params(1, 20, d=2, seed=0),
@@ -392,14 +396,12 @@ def test_09_protocol_conformance(tmp_path):
     # 10-core filtering reaches a verified fixed point
     log = make_synthetic_log(60, 50, 5, seq_len=12, seed=0)
     filtered = k_core_filter(log, k=10)
-    user_deg, item_deg = {}, {}
-    for rec in filtered.records:
-        user_deg[rec.user] = user_deg.get(rec.user, 0) + 1
-        item_deg[rec.item] = item_deg.get(rec.item, 0) + 1
-    assert min(user_deg.values()) >= 10
-    assert min(item_deg.values()) >= 10
+    assert np.bincount(filtered.users, minlength=filtered.n_users).min() >= 10
+    assert np.bincount(filtered.items, minlength=filtered.n_items).min() >= 10
     again = k_core_filter(filtered, k=10)
-    assert again.records == filtered.records
+    for column in ("users", "items", "timestamps", "categories"):
+        assert np.array_equal(getattr(again, column), getattr(filtered, column))
+    assert again.category_ids == filtered.category_ids
 
 
 @report(10, "determinism")

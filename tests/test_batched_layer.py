@@ -28,6 +28,7 @@ from dppseq.kernels import (
 from dppseq.losses import cdsl_loss_batch, dsl_loss_batch
 from dppseq.oracle import oracle_conditional_distribution, oracle_fd_gradient
 from dppseq.scorer import TrainConfig, init_params, score, train
+from tests.conftest import instance_array
 
 N_ITEMS = 16
 CASES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -226,22 +227,22 @@ def reference_epoch(params, instances, loss_kind, kernel, config):
 
 
 @pytest.mark.parametrize("loss_kind", ["dsl", "cdsl"])
-def test_train_epoch_on_ragged_instances(loss_kind):
+def test_train_epoch_matches_reference(loss_kind):
     rng = np.random.default_rng(5)
     V = rng.standard_normal((30, 12))
     kernel = DiversityKernelLowRank(V / np.linalg.norm(V, axis=1, keepdims=True))
-    instances = []
-    for k in range(40):
-        P, T, Z = [(2, 2, 2), (3, 2, 1), (1, 3, 3)][k % 3]
-        items = [int(i) for i in rng.permutation(30)[: P + T + Z]]
-        instances.append(SequenceInstance(
-            user=k % 5, previous=tuple(items[:P]), targets=tuple(items[P : P + T]),
-            negatives=tuple(items[P + T :]), time_step=P,
-        ))
     params = init_params(5, 30, d=4, seed=1)
     config = TrainConfig(learning_rate=0.3, batch_size=8, max_epochs=1, seed=2)
-    trained, tlog = train(params, instances, loss_kind, kernel, config)
-    expected, loss = reference_epoch(params, instances, loss_kind, kernel, config)
-    assert tlog.epoch_loss[0] == pytest.approx(loss, rel=1e-12)
-    for table in ("user_emb", "item_in_emb", "item_out_emb", "item_bias"):
-        assert np.max(np.abs(getattr(trained, table) - getattr(expected, table))) < 1e-12
+    for P, T, Z in [(2, 2, 2), (3, 2, 1), (1, 3, 3)]:  # one layout per epoch
+        instances = []
+        for k in range(40):
+            items = [int(i) for i in rng.permutation(30)[: P + T + Z]]
+            instances.append(SequenceInstance(
+                user=k % 5, previous=tuple(items[:P]), targets=tuple(items[P : P + T]),
+                negatives=tuple(items[P + T :]), time_step=P,
+            ))
+        trained, tlog = train(params, instance_array(instances), loss_kind, kernel, config)
+        expected, loss = reference_epoch(params, instances, loss_kind, kernel, config)
+        assert tlog.epoch_loss[0] == pytest.approx(loss, rel=1e-12)
+        for table in ("user_emb", "item_in_emb", "item_out_emb", "item_bias"):
+            assert np.max(np.abs(getattr(trained, table) - getattr(expected, table))) < 1e-12

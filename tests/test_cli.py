@@ -95,6 +95,18 @@ class TestLoadConfig:
             load_config(None, {"T": "3", **overrides})
         assert load_config(None, {"T": "3", "set_size": "1", "decay": "1"}).set_size == 1
 
+    def test_decay_underflow_is_exact(self):
+        # 1e-160 squared is a subnormal; cubed, it is 0
+        assert load_config(None, {"T": "3", "decay": "1e-160", "set_size": "3"}).decay == 1e-160
+        with pytest.raises(ValueError, match="underflows"):
+            load_config(None, {"T": "3", "decay": "1e-160", "set_size": "4"})
+        # a weight times a decay above 0.5 never rounds to 0; times 0.5, it
+        # reaches 0 after 1,075 picks
+        assert load_config(None, {"T": "3", "decay": "0.51", "set_size": "1000000000"})
+        assert load_config(None, {"T": "3", "decay": "0.5", "set_size": "1075"})
+        with pytest.raises(ValueError, match="underflows"):
+            load_config(None, {"T": "3", "decay": "0.5", "set_size": "1076"})
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(T=2, seed=1).resolve()
         b = ExperimentConfig(T=2, seed=1).resolve()
@@ -131,6 +143,35 @@ class TestExitCodes:
         config = config_file(tmp_path, small_dataset, out, **setting)
         assert main(["--config", str(config), "prepare"]) == 2
         assert main(["--config", str(config), "gen-sets"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"T": 0},
+            {"L": -3},
+            {"Z": -1},
+            {"k_core": 0},
+            {"kernel_dim": 0},
+            {"kernel_epochs": 0},
+            {"scorer_dim": 0},
+            {"batch_size": 0},
+            {"max_epochs": 0},
+            {"n_list": "0"},
+            {"n_list": "5,0"},
+            {"n_list": ""},
+            {"kernel_lr": 0},
+            {"scorer_lr": -0.1},
+            {"scorer_lr": "nan"},
+            {"kernel_l2": -0.01},
+            {"decay": 1e-200},
+        ],
+    )
+    def test_out_of_range_setting_is_config_error(self, tmp_path, small_dataset, setting):
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, **{"losses": "ce", **setting})
+        for stage in (["prepare"], ["gen-sets"], ["train", "--loss", "ce"], ["report"]):
+            assert main(["--config", str(config), *stage]) == 2, stage
         assert not out.exists()
 
     def test_threads_is_no_longer_a_setting(self, tmp_path, small_dataset):

@@ -23,6 +23,7 @@ from dppseq.scorer import (
     train,
     validation_ndcg,
 )
+from tests.conftest import instance_array
 
 
 def zero_params(n_users=3, n_items=10, d=4):
@@ -163,7 +164,7 @@ def toy_instances(n_users=6, n_items=20, per_user=3):
                     time_step=3,
                 )
             )
-    return instances
+    return instance_array(instances)
 
 
 class TestTrain:
@@ -222,7 +223,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(
                 init_params(1, 5, d=2),
-                [instance],
+                instance_array([instance]),
                 "dsl",
                 kernel,
                 TrainConfig(max_epochs=1),
@@ -233,11 +234,17 @@ class TestTrain:
             user=0, previous=(0, 1), targets=(2, 3), negatives=(4,), time_step=2
         )
         with pytest.raises(ValueError):
-            train(init_params(1, 5, d=2), [instance], "cdsl", None, TrainConfig(max_epochs=1))
+            train(
+                init_params(1, 5, d=2),
+                instance_array([instance]),
+                "cdsl",
+                None,
+                TrainConfig(max_epochs=1),
+            )
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
-            train(init_params(1, 5, d=2), [], "hinge", None, TrainConfig(max_epochs=1))
+            train(init_params(1, 5, d=2), toy_instances(), "hinge", None, TrainConfig(max_epochs=1))
 
     @pytest.mark.parametrize("loss_kind", ["bpr", "dsl", "cdsl"])
     def test_other_losses_train(self, loss_kind, rng):
