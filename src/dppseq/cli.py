@@ -37,7 +37,7 @@ EXIT_NUMERICAL = 4
 
 # the lowest value of each integer setting; L = 0 and Z = 0 derive them from T
 _LOWEST = dict(T=1, L=0, Z=0, k_core=1, kernel_dim=1, kernel_epochs=1, set_size=1, scorer_dim=1,
-               batch_size=1, max_epochs=1)
+               batch_size=1, max_epochs=1, patience=1)
 
 
 @dataclass
@@ -67,7 +67,11 @@ class ExperimentConfig:
         for name, low in _LOWEST.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.n_list or min(self.n_list) < 1:
+        for name in ("losses", "n_list"):
+            entries = getattr(self, name)
+            if not entries or len(set(entries)) < len(entries):
+                raise ValueError(f"{name} must hold distinct entries, at least one; got {entries}")
+        if min(self.n_list) < 1:
             raise ValueError(f"n_list must hold cutoffs N >= 1, got {self.n_list}")
         for name in ("kernel_lr", "scorer_lr"):
             if not getattr(self, name) > 0:

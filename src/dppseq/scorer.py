@@ -20,7 +20,14 @@ import numpy as np
 from . import losses as losses_mod
 from .data import Instances, SequenceInstance, SplitResult, read_checkpoint, write_checkpoint
 from .kernels import DiversityKernelLowRank
-from .metrics import MetricTable, evaluate_ranking_fn, ndcg_at, rank_candidates
+from .metrics import (
+    RANK_BLOCK_USERS,
+    MetricTable,
+    evaluate_ranking_fn,
+    flat_index,
+    rank_candidates,
+    user_metrics,
+)
 
 log = logging.getLogger(__name__)
 
@@ -316,9 +323,6 @@ def train(
     return best_params, tlog
 
 
-RANK_BLOCK_USERS = 128  # users ranked at once; a block holds this many rows of M scores
-
-
 def _rank_users(
     params: ScorerParams,
     users: Sequence[int],
@@ -326,9 +330,10 @@ def _rank_users(
     L: int,
     n_items: int,
     top: int,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Each user's top `top` items among the first `n_items` outside their
-    `history`, best first (see `rank_candidates`).
+    `history`, best first, as a (len(users), top) array padded with -1 (see
+    `rank_candidates`).
 
     A user's scores are `contexts @ item_out_emb.T + item_bias`, with the
     context taken from the last L history items as in training.  Users go
@@ -348,10 +353,11 @@ def _rank_users(
         previous = np.array([context_items[r] for r in rows], dtype=np.intp).reshape(rows.size, n)
         contexts[rows] = _contexts(params, users[rows], previous)
     out_emb, bias = params.item_out_emb[:n_items], params.item_bias[:n_items]
-    ranked: list[np.ndarray] = []
+    ranked = np.empty((users.size, top), dtype=np.intp)
     for start in range(0, users.size, RANK_BLOCK_USERS):
         block = slice(start, start + RANK_BLOCK_USERS)
-        ranked += rank_candidates(contexts[block] @ out_emb.T + bias, history[block], top)
+        scores = contexts[block] @ out_emb.T + bias
+        ranked[block] = rank_candidates(scores, flat_index(history[block]), top)
     return ranked
 
 
@@ -366,8 +372,8 @@ def validation_ndcg(
     user's training history, with the last L training items as context."""
     users = [u for u, valid in enumerate(split.valid) if valid and len(split.train[u])]
     ranked = _rank_users(params, users, [split.train[u] for u in users], L, n_items, N)
-    values = [ndcg_at(r.tolist(), set(split.valid[u]), N) for u, r in zip(users, ranked) if r.size]
-    return float(np.mean(values)) if values else 0.0
+    _, values = user_metrics(ranked, [split.valid[u] for u in users], (N,))
+    return float(np.mean(values[1, 0])) if values.shape[2] else 0.0
 
 
 def evaluate_model(

@@ -8,6 +8,7 @@ from dppseq.kernels import (
     QualityVector,
     build_sequence_kernel,
 )
+from dppseq.metrics import category_incidence, user_metrics
 
 
 def random_unit_row_kernel(n_items, latent_dim, rng):
@@ -55,3 +56,45 @@ def instance_array(rows):
         L=len(first.previous),
         T=len(first.targets),
     )
+
+
+def one_user_metrics(ranked, relevant, N, item_categories=None, n_categories=1):
+    """(recall, ndcg, cc) at N of one user's top items through
+    `user_metrics`, or None when the user is left out."""
+    row = np.full((1, max(N, len(ranked))), -1, dtype=np.intp)
+    row[0, : len(ranked)] = ranked
+    incidence = None if item_categories is None else category_incidence(item_categories)
+    kept, values = user_metrics(row, [relevant], (N,), incidence, n_categories)
+    return tuple(values[:, 0, 0].tolist()) if kept[0] else None
+
+
+# The per-user scalar metrics that `user_metrics` replaced, kept as its reference.
+
+
+def recall_at(ranked, relevant: set, N: int) -> float:
+    if not relevant:
+        raise ValueError("relevant set must be nonempty")
+    hits = sum(1 for item in ranked[:N] if item in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at(ranked, relevant: set, N: int) -> float:
+    """Binary-relevance NDCG with 1/log2(rank+1) discount."""
+    if not relevant:
+        raise ValueError("relevant set must be nonempty")
+    dcg = sum(
+        1.0 / np.log2(rank + 2)
+        for rank, item in enumerate(ranked[:N])
+        if item in relevant
+    )
+    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(min(N, len(relevant))))
+    return dcg / idcg
+
+
+def category_coverage(top_n, item_categories, total_categories: int) -> float:
+    if total_categories < 1:
+        raise ValueError("total_categories must be >= 1")
+    covered: set = set()
+    for item in top_n:
+        covered |= set(item_categories[item])
+    return len(covered) / total_categories

@@ -39,7 +39,7 @@ from dppseq.kernels import (
     dsl_log_likelihood,
 )
 from dppseq.losses import bpr_loss, cdsl_loss, ce_loss, dsl_loss
-from dppseq.metrics import category_coverage, f_score, ndcg_at, recall_at
+from dppseq.metrics import f_score
 from dppseq.oracle import (
     enumerate_normalizer,
     oracle_conditional_distribution,
@@ -59,7 +59,12 @@ from dppseq.scorer import (
     validation_ndcg,
 )
 from dppseq.synthetic import make_synthetic_log
-from tests.conftest import instance_array, random_sequence_kernel, random_unit_row_kernel
+from tests.conftest import (
+    instance_array,
+    one_user_metrics,
+    random_sequence_kernel,
+    random_unit_row_kernel,
+)
 
 
 def report(n, name):
@@ -281,14 +286,15 @@ def test_06_kernel_learning_sanity():
 
 @report(7, "metric fixtures")
 def test_07_metric_fixtures():
+    # one-row calls of the block metrics: (recall, ndcg, cc) at N
     # top-3 [a,b,c] with relevant {b,d}
-    assert recall_at([0, 1, 2], {1, 3}, 3) == 0.5
-    nd = ndcg_at([0, 1, 2], {1, 3}, 3)
+    recall, nd, _ = one_user_metrics([0, 1, 2], [1, 3], 3)
+    assert recall == 0.5
     assert round(nd, 5) == 0.38685
-    assert ndcg_at([5, 0, 1], {5}, 3) == 1.0
-    assert ndcg_at([0, 1, 2], {9}, 3) == 0.0
-    cats = {0: frozenset({0}), 1: frozenset({0, 1}), 2: frozenset({2})}
-    assert category_coverage([0, 1, 2], cats, 10) == pytest.approx(0.3)
+    assert one_user_metrics([5, 0, 1], [5], 3)[1] == 1.0
+    assert one_user_metrics([0, 1, 2], [9], 3)[1] == 0.0
+    cats = [frozenset({0}), frozenset({0, 1}), frozenset({2})]
+    assert one_user_metrics([0, 1, 2], [0], 3, cats, 10)[2] == pytest.approx(0.3)
     assert f_score(0.5, 0.5) == pytest.approx(0.5)
     assert f_score(0.04, 0.3) == pytest.approx(0.024 / 0.34)
     assert round(f_score(0.04, 0.3), 6) == 0.070588

@@ -113,6 +113,8 @@ class TestLoadConfig:
         c = ExperimentConfig(T=2, seed=2).resolve()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+        # stamps of earlier runs stay valid: the checks leave a valid config as it was
+        assert a.config_hash() == "6e1b9831db9fba38"
 
 
 class TestExitCodes:
@@ -165,6 +167,11 @@ class TestExitCodes:
             {"scorer_lr": "nan"},
             {"kernel_l2": -0.01},
             {"decay": 1e-200},
+            {"patience": 0},
+            {"patience": -3},
+            {"losses": ""},
+            {"losses": "ce,ce"},
+            {"n_list": "5,5"},
         ],
     )
     def test_out_of_range_setting_is_config_error(self, tmp_path, small_dataset, setting):

@@ -6,7 +6,7 @@ import pytest
 from dppseq.data import SequenceInstance, SplitResult
 from dppseq.kernel_learning import normalize_kernel
 from dppseq.kernels import DiversityKernelLowRank
-from dppseq.metrics import evaluate_ranking_fn, ndcg_at
+from dppseq.metrics import evaluate_ranking_fn
 from dppseq.oracle import oracle_fd_gradient
 from dppseq.scorer import (
     RANK_BLOCK_USERS,
@@ -23,6 +23,7 @@ from dppseq.scorer import (
     train,
     validation_ndcg,
 )
+from tests.conftest import ndcg_at
 from tests.conftest import instance_array
 
 
@@ -318,6 +319,7 @@ class TestBlockRanking:
         tops = [
             self.per_user_top(params, u, h[-L:], h, n_items, 10) for u, h in zip(users, history)
         ]
+        tops = np.array([t + [-1] * (10 - len(t)) for t in tops])
         want = evaluate_ranking_fn(tops, [split.test[u] for u in users], cats, 3, T=2)
         got = evaluate_model(params, split, n_items, L, cats, 3)
         assert got.rows == want.rows
