@@ -25,7 +25,7 @@ def make_pairs(n_pairs):
         pos = set(rng.choice(10, 2, replace=False)) | set(10 + rng.choice(10, 2, replace=False))
         cluster = int(rng.integers(2)) * 10
         neg = set(cluster + rng.choice(10, 4, replace=False))
-        pairs.append(PairedDiverseSets(user=0, positive=[frozenset(pos)], negative=[frozenset(neg)]))
+        pairs.append(PairedDiverseSets(user=0, positive=[sorted(pos)], negative=[sorted(neg)]))
     return pairs
 
 

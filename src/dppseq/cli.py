@@ -139,16 +139,14 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
 
     config = ExperimentConfig()
-    casts = {f.name: f.type for f in fields(config)}
+    names = {f.name for f in fields(config)}
     for key, value in values.items():
-        if key not in casts:
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(config, key)
         if isinstance(current, tuple):
             parts = tuple(p for p in str(value).split(",") if p)
             value = tuple(int(p) for p in parts) if key == "n_list" else parts
-        elif isinstance(current, bool):
-            value = str(value).lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             value = int(value)
         elif isinstance(current, float):
@@ -181,10 +179,6 @@ def _load_prepared(config: ExperimentConfig):
     return log_, split
 
 
-def _instances_path(config: ExperimentConfig) -> Path:
-    return _out_dir(config) / "instances.tsv"
-
-
 def _write_instances(path: Path, config: ExperimentConfig, instances: Instances) -> None:
     """One line per instance: user, then its previous items, targets and
     negatives as comma lists, then its time step, tab-separated."""
@@ -200,11 +194,7 @@ def _read_instances(path: Path, config: ExperimentConfig) -> Instances:
     """The `_write_instances` file of `config` as arrays, in one parse."""
     stamped = path.read_text().splitlines()
     lines = [ln for ln in stamped if ln and not ln.startswith(("#", "user\t"))]
-    width = 2 + config.L + config.T + config.Z
-    fields = "\t".join(lines).replace(",", "\t").split("\t") if lines else []
-    if len(fields) != len(lines) * width:
-        raise ValueError(f"{path}: instances do not hold L+T+Z = {width - 2} items each")
-    rows = np.array(fields, dtype=np.intp).reshape(len(lines), width)
+    rows = data_mod.parse_int_rows(lines, 2 + config.L + config.T + config.Z, path)
     return Instances(rows[:, 0], rows[:, 1:-1], rows[:, -1], config.L, config.T)
 
 
@@ -218,7 +208,7 @@ def cmd_prepare(config: ExperimentConfig) -> None:
     instances = data_mod.make_instances(
         split, log_.n_items, config.L, config.T, config.Z, seed=config.seed
     )
-    _write_instances(_instances_path(config), config, instances)
+    _write_instances(out / "instances.tsv", config, instances)
     (out / "config_resolved.txt").write_text(_stamp(config) + config.dump())
     print(f"prepared {len(instances)} instances over {log_.n_users} users, {log_.n_items} items")
 
@@ -226,17 +216,14 @@ def cmd_prepare(config: ExperimentConfig) -> None:
 def cmd_gen_sets(config: ExperimentConfig) -> None:
     log_, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
-    by_category: dict[int, list[int]] = {}
-    for item, cats in enumerate(log_.item_categories):
-        for c in cats:
-            by_category.setdefault(c, []).append(item)
-    catalog_by_category = {c: np.asarray(items, dtype=np.intp) for c, items in by_category.items()}
+    cats = log_.item_categories
+    catalog = {c: np.flatnonzero([c in own for own in cats]) for c in range(log_.n_categories)}
     pairs = [
         ds_mod.build_paired_sets(
             u,
-            [(i, log_.item_categories[i]) for i in dict.fromkeys(train_items)],
+            [(i, cats[i]) for i in dict.fromkeys(train_items)],
             histories[u],
-            catalog_by_category,
+            catalog,
             log_.n_items,
             decay=config.decay,
             set_size=config.set_size,
@@ -277,7 +264,7 @@ def cmd_train_kernel(config: ExperimentConfig) -> None:
 def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
     out = _out_dir(config)
     log_, split = _load_prepared(config)
-    instances = _read_instances(_instances_path(config), config)
+    instances = _read_instances(out / "instances.tsv", config)
     kernel = None
     if loss_kind in ("dsl", "cdsl"):
         kernel_path = out / "kernel.txt"
@@ -308,12 +295,8 @@ _TRAIN_LOG_HEADER = "epoch,train_loss,val_ndcg5,seconds"
 
 
 def _write_train_log(path: Path, config: ExperimentConfig, tlog: scorer_mod.TrainLog) -> None:
-    body = "\n".join(
-        f"{e},{l:.6f},{v:.6f},{s:.3f}"
-        for e, (l, v, s) in enumerate(
-            zip(tlog.epoch_loss, tlog.epoch_val_ndcg, tlog.epoch_seconds)
-        )
-    )
+    rows = enumerate(zip(tlog.epoch_loss, tlog.epoch_val_ndcg, tlog.epoch_seconds))
+    body = "\n".join(f"{e},{l:.6f},{v:.6f},{s:.3f}" for e, (l, v, s) in rows)
     _write_stamped(path, config, f"{_TRAIN_LOG_HEADER}\n{body}\n")
 
 

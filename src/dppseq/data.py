@@ -209,10 +209,7 @@ def temporal_split(log_: InteractionLog, T: int) -> SplitResult:
         seq = items[ends[u - 1] if u else 0 : end]
         if len(seq) <= T + 1:
             dropped.append(u)
-            train.append([])
-            valid.append([])
-            test.append([])
-            continue
+            seq = []
         head, tail = seq[:-T], seq[-T:]
         n_train = int(np.floor(0.9 * len(head)))
         train.append(head[:n_train])
@@ -296,6 +293,20 @@ def write_split_manifest(path, split: SplitResult) -> None:
             fh.write(
                 f"{u}\t{len(split.train[u])}\t{len(split.valid[u])}\t{len(split.test[u])}\n"
             )
+
+
+def parse_int_rows(lines: Sequence[str], width: int, source) -> np.ndarray:
+    """Lines of `width` tab- or comma-separated integers as a (len(lines),
+    width) intp array.  Raises ValueError, naming `source`, on any other line."""
+    # a "\n" field closes each line, so every line's field count shows
+    fields = "\t\n\t".join([*lines, ""]).replace(",", "\t").split("\t")
+    if len(fields) != len(lines) * (width + 1) + 1 or set(fields[width :: width + 1]) - {"\n"}:
+        raise ValueError(f"{source}: a line does not hold {width} fields")
+    del fields[width :: width + 1], fields[-1]  # the markers, then the final ""
+    try:
+        return np.array(fields, dtype=np.intp).reshape(len(lines), width)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def write_checkpoint(path, header: Sequence[int], arrays: Sequence[np.ndarray]) -> None:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .data import parse_int_rows
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +37,22 @@ _NO_ITEMS = np.zeros(0, dtype=np.intp)
 
 @dataclass
 class PairedDiverseSets:
-    """Matched positive/negative item sets for one user."""
+    """One user's sets as (S, k) arrays of item ids, row i of `negative` matched
+    to row i of `positive`; rows are sorted on entry and hold distinct ids >= 0."""
 
     user: int
-    positive: list[frozenset] = field(default_factory=list)
-    negative: list[frozenset] = field(default_factory=list)
+    positive: np.ndarray
+    negative: np.ndarray
 
     def __post_init__(self):
-        if len(self.positive) != len(self.negative):
-            raise ValueError("positive and negative set lists must be matched")
+        self.positive, self.negative = pos, neg = [
+            np.sort(np.asarray(s, dtype=np.intp), axis=-1) for s in (self.positive, self.negative)
+        ]
+        if pos.ndim != 2 or pos.shape != neg.shape:
+            raise ValueError(f"unbalanced sets for user {self.user}: {pos.shape} vs {neg.shape}")
+        both = np.concatenate([pos, neg])
+        if (both[:, :1] < 0).any() or (both[:, 1:] == both[:, :-1]).any():
+            raise ValueError(f"user {self.user}: a set holds a negative or repeated item id")
 
 
 def generate_diverse_sets(
@@ -50,8 +60,9 @@ def generate_diverse_sets(
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int | np.random.SeedSequence = 0,
-) -> list[frozenset]:
-    """Emit positive sets until every item has appeared in at least one set.
+) -> np.ndarray:
+    """Emit positive sets until every item has appeared in at least one set,
+    as an (S, min(set_size, n)) array of item ids, each row ascending.
 
     `user_items` is a list of (item index, category-id set).  Weights reset to
     uniform at the start of each set, so the sets are identically distributed.
@@ -66,7 +77,7 @@ def generate_diverse_sets(
         raise ValueError("decay must be in (0, 1]")
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
-    items = [int(i) for i, _ in user_items]
+    items = np.array([i for i, _ in user_items], dtype=np.intp)
     n = len(items)
     size = min(set_size, n)
     rng = np.random.default_rng(seed)
@@ -76,20 +87,18 @@ def generate_diverse_sets(
     factor = np.where(_shares([c for _, c in user_items]), decay, 1.0)
     np.fill_diagonal(factor, 0.0)
 
-    covered = [False] * n
-    left = n
-    sets: list[frozenset] = []
-    while True:
-        picks, drawn = _draw_block(factor, size, rng)
-        for row, ok in zip(picks.tolist(), drawn.tolist()):
-            if not ok:
-                raise ValueError("decayed weights underflowed to zero; raise decay")
-            sets.append(frozenset([items[k] for k in row]))
-            for k in row:
-                left -= not covered[k]
-                covered[k] = True
-            if not left:
-                return sets
+    covered, sets, drawn = set(), [], []
+    while len(covered) < n:
+        picks, ok = _draw_block(factor, size, rng)
+        drawn += ok.tolist()
+        for row in picks.tolist():
+            sets.append(row)
+            covered.update(row)
+            if len(covered) == n:
+                break
+    if not all(drawn[: len(sets)]):
+        raise ValueError("decayed weights underflowed to zero; raise decay")
+    return np.sort(items[sets], axis=1)
 
 
 def _shares(categories: Sequence[Iterable[int]]) -> np.ndarray:
@@ -147,8 +156,8 @@ def sample_negative_set(
     pools: Sequence[Sequence[int]],
     unseen: Sequence[int],
     rng: np.random.Generator,
-) -> frozenset:
-    """Negative set matching a positive set's categories item-for-item.
+) -> list[int]:
+    """Negative set matching a positive set's categories item-for-item, sorted.
 
     `pools[k]` is the candidate pool of the k-th positive item in ascending
     item order: the sorted catalog items outside the user's history that
@@ -167,7 +176,7 @@ def sample_negative_set(
             if pick is None:
                 raise ValueError("catalog exhausted while sampling a negative set")
         chosen.append(pick)
-    return frozenset(chosen)
+    return sorted(chosen)
 
 
 def _draw_unchosen(
@@ -244,37 +253,39 @@ def build_paired_sets(
     cats_of = {int(i): frozenset(c) for i, c in user_items}
     pools = {c: unseen_pool(catalog_by_category, c, unseen_mask) for c in set(cats_of.values())}
     negatives = [
-        sample_negative_set([pools[cats_of[i]] for i in sorted(pos)], unseen, rng)
-        for pos in positives
+        sample_negative_set([pools[cats_of[i]] for i in pos], unseen, rng)
+        for pos in positives.tolist()
     ]
-    return PairedDiverseSets(user=user, positive=positives, negative=negatives)
+    return PairedDiverseSets(user, positives, negatives)
 
 
 def dump_paired_sets(pairs: Iterable[PairedDiverseSets], path) -> None:
-    """Write sets as `user<TAB>+|-<TAB>comma-separated item ids` lines."""
+    """Write sets as `user<TAB>+|-<TAB>comma-separated item ids` lines, each
+    positive set followed by its negative."""
     with open(path, "w", encoding="utf-8") as fh:
         for p in pairs:
-            for pos, neg in zip(p.positive, p.negative):
-                fh.write(f"{p.user}\t+\t{','.join(map(str, sorted(pos)))}\n")
-                fh.write(f"{p.user}\t-\t{','.join(map(str, sorted(neg)))}\n")
+            ids = ",".join(["%d"] * p.positive.shape[1])
+            values = np.hstack([p.positive, p.negative]).ravel().tolist()
+            fh.write(f"{p.user}\t+\t{ids}\n{p.user}\t-\t{ids}\n" * len(p.positive) % tuple(values))
 
 
 def load_paired_sets(path) -> list[PairedDiverseSets]:
-    by_user: dict[int, PairedDiverseSets] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            user_s, sign, ids = line.split("\t")
-            user = int(user_s)
-            items = frozenset(int(x) for x in ids.split(","))
-            entry = by_user.setdefault(user, PairedDiverseSets(user=user))
-            if sign == "+":
-                entry.positive.append(items)
-            else:
-                entry.negative.append(items)
-    for entry in by_user.values():
-        if len(entry.positive) != len(entry.negative):
-            raise ValueError(f"unbalanced set file for user {entry.user}")
-    return [by_user[u] for u in sorted(by_user)]
+    """The `dump_paired_sets` file, one entry per user in user order, a user's
+    sets in file order.  Raises ValueError on a malformed line, on a user whose
+    rows differ in width, and in PairedDiverseSets."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    if not lines:
+        return []
+    fields = "\t\n\t".join(lines).split("\t")  # "\n" closes each line, as in parse_int_rows
+    users, signs, ids = fields[0::4], fields[1::4], fields[2::4]
+    if len(fields) != 4 * len(lines) - 1 or set(fields[3::4]) - {"\n"} or set(signs) - {"+", "-"}:
+        raise ValueError(f"{path}: a line is not user<TAB>+|-<TAB>item ids")
+    positive = np.array(signs) == "+"
+    users = parse_int_rows(users, 1, path)[:, 0]
+    order = np.argsort(users, kind="stable")
+    pairs = []
+    for rows in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
+        user, width = int(users[rows[0]]), ids[rows[0]].count(",") + 1
+        sets = parse_int_rows([ids[i] for i in rows.tolist()], width, f"{path}: user {user}")
+        pairs.append(PairedDiverseSets(user, sets[positive[rows]], sets[~positive[rows]]))
+    return pairs

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -44,20 +43,13 @@ BLOCK_SETS = 128  # sets factored at once; bounds an evaluation's memory, whatev
 
 def _group_sets(pairs: Sequence[PairedDiverseSets]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every positive and negative set, grouped by size: one (N, k) array of
-    sorted item indices and one (N,) array of signs (+1 positive, -1
-    negative) per size k, the sets in pair order within a group."""
-    by_size: dict[int, tuple[list, list]] = {}
+    sorted item indices and one (N,) array of signs (+1 positive, -1 negative)
+    per size k, in pair order within a group, each positive before its negative."""
+    by_size: dict[int, list[np.ndarray]] = {}
     for p in pairs:
-        for pos, neg in zip(p.positive, p.negative):
-            for items, sign in ((pos, 1.0), (neg, -1.0)):
-                sets, signs = by_size.setdefault(len(items), ([], []))
-                sets.append(items)
-                signs.append(sign)
-    groups = []
-    for k, (sets, signs) in sorted(by_size.items()):
-        items = np.fromiter(chain.from_iterable(sets), np.intp, len(sets) * k)
-        groups.append((np.sort(items.reshape(len(sets), k)), np.asarray(signs)))
-    return groups
+        by_size.setdefault(p.positive.shape[1], []).append(np.hstack([p.positive, p.negative]))
+    groups = [np.concatenate(sets).reshape(-1, k) for k, sets in sorted(by_size.items())]
+    return [(items, np.tile([1.0, -1.0], len(items) // 2)) for items in groups]
 
 
 def _objective_and_gradient(
@@ -136,6 +128,8 @@ def train_kernel(
     V = rng.uniform(-scale, scale, size=(n_items, config.latent_dim))
 
     groups = _group_sets(pairs)
+    if any(items.max() >= n_items for items, _ in groups):
+        raise ValueError(f"a diverse set holds an item id outside the {n_items}-item catalog")
     lr = config.learning_rate
     history: list[float] = []
     regressions = 0

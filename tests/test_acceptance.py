@@ -195,8 +195,8 @@ def test_05_gradient_suite():
 
     for _ in range(50):  # paired-set objective w.r.t. factor matrix V
         V = rng.standard_normal((8, 3))
-        pos = frozenset(rng.choice(8, size=2, replace=False).tolist())
-        neg = frozenset(rng.choice(8, size=2, replace=False).tolist())
+        pos = rng.choice(8, size=2, replace=False)
+        neg = rng.choice(8, size=2, replace=False)
         pairs = [PairedDiverseSets(user=0, positive=[pos], negative=[neg])]
         analytic = _objective_and_gradient(V, _group_sets(pairs), 0.05, 1e-4)[1]
         fd = oracle_fd_gradient(
@@ -265,9 +265,7 @@ def _two_cluster_pairs(rng, n_pairs, n_items=20):
         )
         cluster = int(rng.integers(2)) * 10
         neg = set(cluster + rng.choice(10, size=4, replace=False))
-        pairs.append(
-            PairedDiverseSets(user=0, positive=[frozenset(pos)], negative=[frozenset(neg)])
-        )
+        pairs.append(PairedDiverseSets(user=0, positive=[sorted(pos)], negative=[sorted(neg)]))
     return pairs
 
 

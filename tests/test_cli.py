@@ -1,5 +1,7 @@
 """End-to-end pipeline wiring, config parsing, and exit codes."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,34 @@ def small_dataset(tmp_path_factory):
     log = make_synthetic_log(n_users=30, n_items=50, n_categories=5, seq_len=14, seed=0)
     write_interactions(path, log)
     return path
+
+
+@pytest.fixture(scope="module")
+def generated_sets(tmp_path_factory, small_dataset):
+    """An out directory after `prepare` and `gen-sets`."""
+    root = tmp_path_factory.mktemp("sets")
+    config = config_file(root, small_dataset, root / "out")
+    for stage in ("prepare", "gen-sets"):
+        assert main(["--config", str(config), stage]) == 0
+    return root / "out"
+
+
+def set_field(lines, row, field, value):
+    fields = lines[row].split("\t")
+    fields[field] = value
+    return lines[:row] + ["\t".join(fields)] + lines[row + 1 :]
+
+
+def set_ids(lines, row, edit):
+    return set_field(lines, row, 2, ",".join(edit(lines[row].split("\t")[2].split(","))))
+
+
+def first_id(row, value):
+    return lambda lines: set_ids(lines, row, lambda ids: [value] + ids[1:])
+
+
+def drop_last(ids):
+    return ids[:-1]
 
 
 def config_file(tmp_path, dataset, out, **extra):
@@ -202,6 +232,42 @@ class TestExitCodes:
         params.item_bias[1] = np.nan
         save_params(checkpoint, params)
         assert main(base + ["evaluate", "--loss", "ce"]) == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(first_id(0, "-1"), id="id_-1"),
+            pytest.param(first_id(0, "99999"), id="id_past_catalog"),
+            pytest.param(first_id(1, "9" * 20), id="id_overflows"),
+            pytest.param(first_id(0, "x"), id="id_not_int"),
+            pytest.param(
+                lambda lines: set_ids(lines, 0, lambda ids: ids[:1] + ids[:-1]), id="repeated_id"
+            ),
+            pytest.param(lambda lines: set_field(lines, 1, 1, "*"), id="sign_not_plus_or_minus"),
+            pytest.param(lambda lines: set_field(lines, 1, 1, "0"), id="sign_numeric"),
+            pytest.param(lambda lines: [lines[0] + "\t1"] + lines[1:], id="extra_field"),
+            pytest.param(
+                lambda lines: [lines[0].replace("\t", ",", 1)] + lines[1:], id="missing_field"
+            ),
+            pytest.param(lambda lines: lines[1:], id="unbalanced_user"),
+            pytest.param(lambda lines: set_ids(lines, 1, drop_last), id="negative_set_smaller"),
+            pytest.param(
+                lambda lines: set_ids(set_ids(lines, 0, drop_last), 1, drop_last),
+                id="user_rows_of_two_widths",
+            ),
+        ],
+    )
+    def test_bad_sets_file_is_data_error(self, tmp_path, generated_sets, edit):
+        out = tmp_path / "out"
+        shutil.copytree(generated_sets, out)
+        config = config_file(tmp_path, "unused.csv", out)
+        assert main(["--config", str(config), "train-kernel"]) == 0
+        lines = (out / "diverse_sets.tsv").read_text().splitlines()
+        # the first user has more than one pair, all of one width above 1
+        assert lines[2].split("\t")[0] == lines[0].split("\t")[0]
+        assert lines[0].count(",") == lines[2].count(",") > 0
+        (out / "diverse_sets.tsv").write_text("\n".join(edit(lines)) + "\n")
+        assert main(["--config", str(config), "train-kernel"]) == 3
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

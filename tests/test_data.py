@@ -9,6 +9,7 @@ from dppseq.data import (
     k_core_filter,
     load_interactions,
     make_instances,
+    parse_int_rows,
     temporal_split,
     user_histories,
     write_interactions,
@@ -231,3 +232,32 @@ def test_split_manifest(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "user\tn_train\tn_valid\tn_test"
     assert len(lines) == 4
+
+
+class TestParseIntRows:
+    def test_tabs_and_commas(self):
+        rows = parse_int_rows(["0\t1,2\t3", "4\t5,6\t-7"], 4, "f")
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [[0, 1, 2, 3], [4, 5, 6, -7]]
+
+    def test_no_lines(self):
+        assert parse_int_rows([], 3, "f").shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["1,2,3", "4"],  # the right field count in total, not per line
+            ["1,2", "3,4,5"],
+            ["1,2", "3"],
+            ["1,2", ""],
+            ["1,", "2"],
+        ],
+    )
+    def test_other_widths_rejected(self, lines):
+        with pytest.raises(ValueError, match="^f: a line does not hold 2 fields"):
+            parse_int_rows(lines, 2, "f")
+
+    @pytest.mark.parametrize("field", ["x", "2.5", "", "9" * 20])
+    def test_other_fields_rejected(self, field):
+        with pytest.raises(ValueError, match="^f: "):
+            parse_int_rows(["0,1", f"1,{field}"], 2, "f")

@@ -1,14 +1,20 @@
-"""Diverse-set generation and matched negative sampling."""
+"""Diverse-set generation, matched negative sampling and the sets file."""
+
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dppseq.cli import load_config
 from dppseq.cli import main as cli_main
 from dppseq.data import load_interactions, temporal_split, user_histories, write_interactions
 from dppseq.diverse_sets import (
     NEGATIVE_STREAM,
     POSITIVE_BLOCK,
     POSITIVE_STREAM,
+    PairedDiverseSets,
     build_paired_sets,
     dump_paired_sets,
     generate_diverse_sets,
@@ -18,6 +24,13 @@ from dppseq.diverse_sets import (
     _choice_pick,
     unseen_pool,
     user_seed,
+)
+from dppseq.kernel_learning import (
+    KernelTrainConfig,
+    _group_sets,
+    load_kernel,
+    normalize_kernel,
+    train_kernel,
 )
 from dppseq.synthetic import make_synthetic_log
 
@@ -44,13 +57,13 @@ class TestGenerateDiverseSets:
     def test_five_items_five_categories_single_set(self):
         user_items = items_with_cats([[0], [1], [2], [3], [4]])
         sets = generate_diverse_sets(user_items, seed=1)
-        assert sets == [frozenset(range(5))]
+        assert sets.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_single_category_uniform_decay(self):
         user_items = items_with_cats([[0]] * 5)
         for seed in range(50):
             sets = generate_diverse_sets(user_items, seed=seed)
-            assert sets == [frozenset(range(5))]
+            assert sets.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_decay_increases_category_diversity(self):
         # 10 items in 2 categories (5+5): decayed sampling should cover both
@@ -72,21 +85,20 @@ class TestGenerateDiverseSets:
         cats = [[int(rng.integers(3))] for _ in range(12)]
         user_items = items_with_cats(cats)
         sets = generate_diverse_sets(user_items, seed=3)
-        union = set().union(*sets)
-        assert union == set(range(12))
-        for s in sets:
-            assert len(s) == 5
+        assert set(sets.ravel().tolist()) == set(range(12))
+        assert sets.dtype == np.intp and sets.shape[1] == 5
+        assert np.all(sets[:, 1:] > sets[:, :-1])  # distinct items, ascending
 
     def test_short_user_gets_small_sets(self):
         user_items = items_with_cats([[0], [1], [2]])
         sets = generate_diverse_sets(user_items, seed=0)
-        assert sets == [frozenset({0, 1, 2})]
+        assert sets.tolist() == [[0, 1, 2]]
 
     def test_deterministic(self):
         user_items = items_with_cats([[i % 3] for i in range(9)])
         a = generate_diverse_sets(user_items, seed=42)
         b = generate_diverse_sets(user_items, seed=42)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -159,15 +171,15 @@ class TestSampleNegativeSet:
 
     def test_category_matching(self):
         neg = self.sample({0, 10}, {0, 10}, np.random.default_rng(0))
-        assert len(neg) == 2
-        assert any(i < 10 for i in neg) and any(i >= 10 for i in neg)
-        assert not neg & {0, 10}
+        assert len(neg) == 2 and neg == sorted(neg)
+        assert neg[0] < 10 <= neg[1]
+        assert not set(neg) & {0, 10}
 
     def test_fallback_when_category_exhausted(self):
         # user has seen every cat-0 item, so the match falls back to unseen
         neg = self.sample({0}, set(range(10)), np.random.default_rng(0))
         assert len(neg) == 1
-        assert next(iter(neg)) >= 10
+        assert neg[0] >= 10
 
     def test_catalog_exhausted_rejected(self):
         with pytest.raises(ValueError):
@@ -177,13 +189,14 @@ class TestSampleNegativeSet:
         history = set(range(0, 20, 2))
         for seed in range(200):
             neg = self.sample({0, 11}, history, np.random.default_rng(seed))
-            assert not neg & history
+            assert not set(neg) & history
 
 
 def reference_sample_negative_set(
     positive, positive_categories, user_history, catalog_by_category, rng, all_items
 ):
-    """The per-item scan over the catalog that `sample_negative_set` replaced."""
+    """The per-item scan over the catalog that `sample_negative_set` replaced,
+    with the chosen items in ascending order."""
     chosen = set()
     for pos_item in sorted(positive):
         cats = sorted(positive_categories[pos_item])
@@ -200,12 +213,12 @@ def reference_sample_negative_set(
                 raise ValueError("catalog exhausted while sampling a negative set")
         candidates = sorted(set(candidates))
         chosen.add(int(rng.choice(candidates)))
-    return frozenset(chosen)
+    return sorted(chosen)
 
 
 def reference_generate_diverse_sets(user_items, decay=0.5, set_size=5, seed=0):
     """The one `rng.choice(n, p=...)` per pick that `generate_diverse_sets`
-    replaced."""
+    replaced, each set's items in ascending order."""
     items = [int(i) for i, _ in user_items]
     categories = [frozenset(c) for _, c in user_items]
     n = len(items)
@@ -224,7 +237,7 @@ def reference_generate_diverse_sets(user_items, decay=0.5, set_size=5, seed=0):
             weights[pick] = 0.0
             weights[shares[pick] & (weights > 0)] *= decay
         covered.update(chosen)
-        sets.append(frozenset(items[i] for i in chosen))
+        sets.append(sorted(items[i] for i in chosen))
     return sets
 
 
@@ -299,7 +312,9 @@ class TestMatchesReference:
             seed = user_seed(case, 1, POSITIVE_STREAM)
             want = reference_generate_diverse_sets(user_items, decay, set_size, seed)
             got = generate_diverse_sets(user_items, decay=decay, set_size=set_size, seed=seed)
-            assert got == want, case
+            assert len(got) == len(want), case
+            for row, (got_row, want_row) in enumerate(zip(got.tolist(), want)):
+                assert got_row == want_row, (case, row)
         assert sizes_seen == {False, True}
 
     def test_underflowed_weights_rejected_like_choice(self):
@@ -332,9 +347,31 @@ class TestUserStreams:
         user_items = items_with_cats([[0], [1], [0], [1], [0], [1], [0]])
         for user in (4, 5):
             pairs = build_paired_sets(user, user_items, set(range(7)), catalog, 20, seed=0)
-            assert pairs.positive == generate_diverse_sets(
-                user_items, seed=user_seed(0, user, POSITIVE_STREAM)
+            assert np.array_equal(
+                pairs.positive,
+                generate_diverse_sets(user_items, seed=user_seed(0, user, POSITIVE_STREAM)),
             )
+
+
+class TestPairedDiverseSets:
+    def test_rows_sorted_on_entry(self):
+        pairs = PairedDiverseSets(3, [[4, 1, 2]], np.array([[9, 0, 5]]))
+        assert pairs.positive.tolist() == [[1, 2, 4]] and pairs.negative.tolist() == [[0, 5, 9]]
+        assert pairs.positive.dtype == pairs.negative.dtype == np.intp
+
+    @pytest.mark.parametrize(
+        "positive, negative",
+        [
+            ([[1, 2], [3, 4]], [[5, 6]]),  # unbalanced
+            ([[1, 2]], [[5]]),  # sizes differ
+            ([[1, 2]], [[5, -1]]),
+            ([[1, 1]], [[5, 6]]),
+            ([1, 2], [5, 6]),  # not (S, k)
+        ],
+    )
+    def test_invalid_sets_rejected(self, positive, negative):
+        with pytest.raises(ValueError, match="user 3"):
+            PairedDiverseSets(3, positive, negative)
 
 
 class TestBuildPairedSets:
@@ -352,11 +389,10 @@ class TestBuildPairedSets:
             seed=5,
         )
         assert pairs.user == 7
-        assert len(pairs.positive) == len(pairs.negative)
-        assert set().union(*pairs.positive) == set(range(6))
-        for pos, neg in zip(pairs.positive, pairs.negative):
-            assert len(pos) == len(neg)
-            assert not neg & set(range(6))
+        assert pairs.positive.shape == pairs.negative.shape
+        assert set(pairs.positive.ravel().tolist()) == set(range(6))
+        assert not set(pairs.negative.ravel().tolist()) & set(range(6))
+        assert np.all(pairs.negative[:, 1:] > pairs.negative[:, :-1])
 
     def test_dump_load_round_trip(self, tmp_path):
         catalog = {0: list(range(10))}
@@ -366,8 +402,8 @@ class TestBuildPairedSets:
         dump_paired_sets([pairs], path)
         loaded = load_paired_sets(path)
         assert len(loaded) == 1
-        assert loaded[0].positive == pairs.positive
-        assert loaded[0].negative == pairs.negative
+        assert np.array_equal(loaded[0].positive, pairs.positive)
+        assert np.array_equal(loaded[0].negative, pairs.negative)
 
 
 def reference_sets_file(out, T, decay, set_size, seed):
@@ -417,3 +453,134 @@ def test_gen_sets_matches_the_choice_reference(tmp_path, decay, set_size):
     assert cli_main(["--config", str(config), "gen-sets"]) == 0
     want = reference_sets_file(out, 2, decay, set_size, seed=3)
     assert (out / "diverse_sets.tsv").read_bytes() == want
+
+
+def frozenset_load_paired_sets(path):
+    """The sets-file reader that `load_paired_sets` replaced: one frozenset
+    per line, as (user, positives, negatives) in user order."""
+    by_user = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            user_s, sign, ids = line.split("\t")
+            items = frozenset(int(x) for x in ids.split(","))
+            positives, negatives = by_user.setdefault(int(user_s), ([], []))
+            (positives if sign == "+" else negatives).append(items)
+    return [(u, *by_user[u]) for u in sorted(by_user)]
+
+
+def frozenset_group_sets(pairs):
+    """The per-set loop and sort that `_group_sets` replaced."""
+    by_size = {}
+    for _, positives, negatives in pairs:
+        for pos, neg in zip(positives, negatives):
+            for items, sign in ((pos, 1.0), (neg, -1.0)):
+                sets, signs = by_size.setdefault(len(items), ([], []))
+                sets.append(items)
+                signs.append(sign)
+    groups = []
+    for k, (sets, signs) in sorted(by_size.items()):
+        items = np.fromiter(chain.from_iterable(sets), np.intp, len(sets) * k)
+        groups.append((np.sort(items.reshape(len(sets), k)), np.asarray(signs)))
+    return groups
+
+
+def fstring_dump_paired_sets(pairs, path):
+    """The f-string writer that `dump_paired_sets` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for user, positives, negatives in pairs:
+            for pos, neg in zip(positives, negatives):
+                fh.write(f"{user}\t+\t{','.join(map(str, sorted(pos)))}\n")
+                fh.write(f"{user}\t-\t{','.join(map(str, sorted(neg)))}\n")
+
+
+@st.composite
+def sets_files(draw):
+    """Lines of a valid sets file: two to six users, the first with sets of
+    one item and the others of 2 to 6, every line in random order, so users
+    are out of order and interleaved, and the ids of a line in random
+    order."""
+    users = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for user in users:
+        width = 1 if user == users[0] else draw(st.integers(2, 6))
+        for _ in range(draw(st.integers(1, 4))):
+            for sign in "+-":
+                ids = rng.choice(40, width, replace=False).tolist()
+                lines.append(f"{user}\t{sign}\t{','.join(map(str, ids))}")
+    return [lines[i] for i in draw(st.permutations(range(len(lines))))]
+
+
+@pytest.fixture(scope="module")
+def sets_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sets")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lines=sets_files())
+def test_sets_file_matches_the_frozenset_path(sets_dir, lines):
+    path = sets_dir / "sets.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pairs, old = load_paired_sets(path), frozenset_load_paired_sets(path)
+    assert [p.user for p in pairs] == [user for user, _, _ in old]
+    groups, want = _group_sets(pairs), frozenset_group_sets(old)
+    assert [g[0].shape for g in groups] == [w[0].shape for w in want]
+    for (items, signs), (want_items, want_signs) in zip(groups, want):
+        assert items.dtype == want_items.dtype and np.array_equal(items, want_items)
+        assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
+    dump_paired_sets(pairs, sets_dir / "new.tsv")
+    fstring_dump_paired_sets(old, sets_dir / "old.tsv")
+    assert (sets_dir / "new.tsv").read_bytes() == (sets_dir / "old.tsv").read_bytes()
+
+
+def test_kernel_from_the_sets_file_equals_the_fit_in_memory(tmp_path):
+    """`train-kernel` fits on the parsed `diverse_sets.tsv`; its kernel.txt
+    equals, bit for bit, the fit on the pairs `build_paired_sets` holds in
+    memory, so the parse keeps the set order within and across size groups."""
+    long_users = make_synthetic_log(n_users=30, n_items=50, n_categories=5, seq_len=14, seed=0)
+    short_users = make_synthetic_log(n_users=12, n_items=50, n_categories=5, seq_len=6, seed=1)
+    write_interactions(tmp_path / "long.csv", long_users)
+    write_interactions(tmp_path / "short.csv", short_users)
+    short_rows = (tmp_path / "short.csv").read_text().splitlines()[1:]
+    dataset = tmp_path / "interactions.csv"
+    dataset.write_text(
+        (tmp_path / "long.csv").read_text() + "".join(f"s{row}\n" for row in short_rows)
+    )
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(
+        f"dataset={dataset}\nout={out}\nT=2\nk_core=2\nkernel_dim=8\nkernel_epochs=5\n"
+        "kernel_lr=0.01\nlosses=ce,cdsl\nseed=4\n"
+    )
+    for stage in ("prepare", "gen-sets", "train-kernel"):
+        assert cli_main(["--config", str(config_path), stage]) == 0
+
+    config = load_config(str(config_path), {})
+    log = load_interactions(out / "filtered.csv")
+    split = temporal_split(log, config.T)
+    histories = user_histories(split)
+    catalog = {}
+    for item, cats in enumerate(log.item_categories):
+        for c in cats:
+            catalog.setdefault(c, []).append(item)
+    draw = dict(decay=config.decay, set_size=config.set_size, seed=config.seed)
+    pairs = []
+    for u, tr in enumerate(split.train):
+        if not tr:
+            continue
+        user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(tr)]
+        pairs.append(build_paired_sets(u, user_items, histories[u], catalog, log.n_items, **draw))
+    assert len({p.positive.shape[1] for p in pairs}) > 1
+    kernel_config = KernelTrainConfig(
+        latent_dim=config.kernel_dim,
+        learning_rate=config.kernel_lr,
+        epochs=config.kernel_epochs,
+        l2_reg=config.kernel_l2,
+        seed=config.seed,
+    )
+    kernel, _ = train_kernel(pairs, log.n_items, kernel_config)
+    kernel = normalize_kernel(kernel, seed=config.seed)
+    assert np.array_equal(load_kernel(out / "kernel.txt").factors, kernel.factors)

@@ -31,8 +31,8 @@ def objective_gradient(V, pairs, l2_reg, jitter):
 def pair(user, positives, negatives):
     return PairedDiverseSets(
         user=user,
-        positive=[frozenset(s) for s in positives],
-        negative=[frozenset(s) for s in negatives],
+        positive=[sorted(s) for s in positives],
+        negative=[sorted(s) for s in negatives],
     )
 
 
@@ -109,7 +109,7 @@ def random_pairs(rng, sizes, n_items):
     """One pair of random sets of each size in `sizes`."""
     pairs = []
     for u, k in enumerate(sizes):
-        pos, neg = (frozenset(rng.choice(n_items, k, replace=False).tolist()) for _ in "pn")
+        pos, neg = (rng.choice(n_items, k, replace=False) for _ in "pn")
         pairs.append(pair(u, [pos], [neg]))
     return pairs
 
@@ -227,6 +227,12 @@ class TestTrainKernel:
         config = KernelTrainConfig(latent_dim=3, learning_rate=0.002, epochs=40, seed=0)
         _, history = train_kernel(pairs, 20, config)
         assert history[-1] > history[0]
+
+    def test_item_outside_catalog_rejected(self):
+        config = KernelTrainConfig(latent_dim=2, epochs=1)
+        train_kernel([pair(0, [{0, 9}], [{1, 2}])], 10, config)
+        with pytest.raises(ValueError, match="catalog"):
+            train_kernel([pair(0, [{0, 10}], [{1, 2}])], 10, config)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
