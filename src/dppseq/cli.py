@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"cdsl needs kernel_dim >= L+T = {self.L + self.T}, got {self.kernel_dim}"
             )
+        if "bpr" in self.losses and self.Z < self.T:
+            raise ValueError(
+                f"bpr pairs each target with a negative, so it needs Z >= T = {self.T}; got {self.Z}"
+            )
         if "dsl" in self.losses and self.kernel_dim < self.T:
             raise ValueError(f"dsl needs kernel_dim >= T = {self.T}, got {self.kernel_dim}")
         return self

@@ -71,55 +71,23 @@ def _contexts(params: ScorerParams, users: np.ndarray, previous: np.ndarray) -> 
     return params.user_emb[users] + params.item_in_emb[previous].mean(axis=1)
 
 
-def score(
-    params: ScorerParams, user: int, previous: Sequence[int], candidates: Sequence[int]
-) -> np.ndarray:
-    """Relevance scores of `candidates` given the user's recent items."""
-    cand = np.asarray(candidates, dtype=int)
-    prev = np.asarray(previous, dtype=int)
-    if user < 0 or user >= params.user_emb.shape[0]:
-        raise ValueError("user index out of range")
-    for idx in (prev, cand):
-        if idx.size and (idx.min() < 0 or idx.max() >= params.item_out_emb.shape[0]):
-            raise ValueError("item index out of range")
-    c = _contexts(params, np.array([user]), prev.reshape(1, -1))[0]
-    return params.item_out_emb[cand] @ c + params.item_bias[cand]
-
-
-@dataclass
-class _Grads:
-    """Dense gradient accumulators, one per parameter table, allocated on
-    first use.  `apply` updates and zeroes only the rows that `add` touched,
-    so a batch costs its own rows, not the size of the tables."""
-
-    user_emb: np.ndarray | None = None
-    item_in_emb: np.ndarray | None = None
-    item_out_emb: np.ndarray | None = None
-    item_bias: np.ndarray | None = None
-    touched: dict = field(default_factory=dict)  # table name -> index arrays
-
-    def add(self, params: ScorerParams, name: str, idx: np.ndarray, value) -> None:
-        if self.user_emb is None:
-            for table in _TABLES:
-                setattr(self, table, np.zeros_like(getattr(params, table)))
-        np.add.at(getattr(self, name), idx, value)
-        self.touched.setdefault(name, []).append(idx.ravel())
-
-    def apply(self, params: ScorerParams, lr: float, scale: float) -> None:
-        step = lr * scale
-        for name, idx in self.touched.items():
-            rows = np.unique(np.concatenate(idx))
-            grad = getattr(self, name)
-            getattr(params, name)[rows] -= step * grad[rows]
-            grad[rows] = 0.0
-        self.touched.clear()
-
-
 def _check_indices(params: ScorerParams, users: np.ndarray, items: np.ndarray) -> None:
     if users.size and (users.min() < 0 or users.max() >= params.user_emb.shape[0]):
         raise ValueError("user index out of range")
     if items.size and (items.min() < 0 or items.max() >= params.item_out_emb.shape[0]):
         raise ValueError("item index out of range")
+
+
+def score(
+    params: ScorerParams, user: int, previous: Sequence[int], candidates: Sequence[int]
+) -> np.ndarray:
+    """Relevance scores of `candidates` given the user's recent items."""
+    users = np.array([user])
+    cand = np.asarray(candidates, dtype=int)
+    prev = np.asarray(previous, dtype=int)
+    _check_indices(params, users, np.concatenate([prev, cand]))
+    c = _contexts(params, users, prev.reshape(1, -1))[0]
+    return params.item_out_emb[cand] @ c + params.item_bias[cand]
 
 
 def _batch_loss(
@@ -159,6 +127,18 @@ def _batch_loss(
     return loss, scored, contexts
 
 
+RowBlocks = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def _row_sums(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `idx`, ascending, and `values` (broadcast to
+    `idx` plus the row shape) summed onto each, in input order from 0.0."""
+    rows, inverse = np.unique(idx, return_inverse=True)
+    sums = np.zeros((rows.size, *values.shape[idx.ndim :]))
+    np.add.at(sums, inverse.reshape(idx.shape), values)
+    return rows, sums
+
+
 def _backprop(
     params: ScorerParams,
     users: np.ndarray,
@@ -166,14 +146,16 @@ def _backprop(
     scored: np.ndarray,
     contexts: np.ndarray,
     grad_scores: np.ndarray,
-    grads: _Grads,
-) -> None:
-    """Accumulate d(loss)/d(params) for a stack, given d(loss)/d(scores)."""
+) -> RowBlocks:
+    """d(loss)/d(params) of a stack, given d(loss)/d(scores): for each table,
+    the rows the stack touches and the gradient summed onto each of them."""
     grad_context = np.einsum("bn,bnd->bd", grad_scores, params.item_out_emb[scored])
-    grads.add(params, "user_emb", users, grad_context)
-    grads.add(params, "item_in_emb", previous, (grad_context / previous.shape[1])[:, None, :])
-    grads.add(params, "item_out_emb", scored, grad_scores[:, :, None] * contexts[:, None, :])
-    grads.add(params, "item_bias", scored, grad_scores)
+    return {
+        "user_emb": _row_sums(users, grad_context),
+        "item_in_emb": _row_sums(previous, (grad_context / previous.shape[1])[:, None, :]),
+        "item_out_emb": _row_sums(scored, grad_scores[:, :, None] * contexts[:, None, :]),
+        "item_bias": _row_sums(scored, grad_scores),
+    }
 
 
 def backprop_scores(
@@ -182,20 +164,17 @@ def backprop_scores(
     previous: Sequence[int],
     candidates: Sequence[int],
     grad_scores: np.ndarray,
-    grads: _Grads,
-) -> None:
-    """Accumulate d(loss)/d(params) given d(loss)/d(scores)."""
+) -> RowBlocks:
+    """d(loss)/d(params) given d(loss)/d(scores), as `_backprop`'s row blocks."""
     users = np.array([user], dtype=np.intp)
     prev = np.asarray(previous, dtype=np.intp).reshape(1, -1)
-    contexts = _contexts(params, users, prev)
-    _backprop(
+    return _backprop(
         params,
         users,
         prev,
         np.asarray(candidates, dtype=np.intp).reshape(1, -1),
-        contexts,
+        _contexts(params, users, prev),
         np.asarray(grad_scores, dtype=float).reshape(1, -1),
-        grads,
     )
 
 
@@ -266,7 +245,6 @@ def train(
     since_improve = 0
     _check_indices(params, instances.users, instances.items)
     L, T = instances.L, instances.T
-    grads = _Grads()
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -283,18 +261,21 @@ def train(
                 total_loss += float(value)
             used = int(np.count_nonzero(keep))
             skipped += keep.size - used
-            _backprop(
+            counted += used
+            if not used:
+                continue
+            blocks = _backprop(
                 params,
                 users[keep],
                 items[keep, :L],
                 scored[keep],
                 contexts[keep],
                 loss.grad_scores[keep],
-                grads,
             )
-            counted += used
-            if used:
-                grads.apply(params, config.learning_rate, 1.0 / used)
+            # lr * (1 / used), not lr / used: the rounding every output was fixed with
+            step = config.learning_rate * (1.0 / used)
+            for name, (rows, grad) in blocks.items():
+                getattr(params, name)[rows] -= step * grad
         if skipped > 0.01 * len(instances):
             raise FloatingPointError(
                 f"{skipped} of {len(instances)} instances skipped in epoch {epoch}"

@@ -9,6 +9,7 @@ from dppseq.kernels import (
     build_sequence_kernel,
 )
 from dppseq.metrics import category_incidence, user_metrics
+from dppseq.scorer import _TABLES, ScorerParams, _batch_loss
 
 
 def random_unit_row_kernel(n_items, latent_dim, rng):
@@ -66,6 +67,57 @@ def one_user_metrics(ranked, relevant, N, item_categories=None, n_categories=1):
     incidence = None if item_categories is None else category_incidence(item_categories)
     kept, values = user_metrics(row, [relevant], (N,), incidence, n_categories)
     return tuple(values[:, 0, 0].tolist()) if kept[0] else None
+
+
+def pack(params):
+    """The scorer's four tables as one flat vector, in `_TABLES` order."""
+    return np.concatenate([getattr(params, t).ravel() for t in _TABLES])
+
+
+def unpack(flat, like):
+    """`pack`'s inverse: a copy of `like` holding the values of `flat`."""
+    p = like.copy()
+    sizes = np.cumsum([getattr(like, t).size for t in _TABLES])[:-1]
+    for t, part in zip(_TABLES, np.split(flat, sizes)):
+        setattr(p, t, part.reshape(getattr(like, t).shape))
+    return p
+
+
+def dense_grads(params, blocks):
+    """The row blocks of `scorer.backprop_scores` as a gradient of the shape
+    of `params`, zero in the rows no block touched."""
+    dense = {t: np.zeros_like(getattr(params, t)) for t in _TABLES}
+    for t, (rows, grad) in blocks.items():
+        dense[t][rows] = grad
+    return ScorerParams(**dense)
+
+
+def reference_sgd_step(params, instances, loss_kind, kernel, config):
+    """The first minibatch step of `scorer.train`, with the gradient
+    accumulated as the scorer did before row blocks: `np.add.at` into a
+    zeroed table the size of each parameter table, then the touched rows
+    updated.  Row blocks must reproduce it bit for bit."""
+    params = params.copy()
+    batch = np.random.default_rng(config.seed).permutation(len(instances))[: config.batch_size]
+    users, items, L = instances.users[batch], instances.items[batch], instances.L
+    loss, scored, contexts = _batch_loss(params, users, items, L, instances.T, loss_kind, kernel)
+    keep = ~loss.skipped & np.isfinite(loss.values)
+    users, previous, scored = users[keep], items[keep, :L], scored[keep]
+    contexts, grad_scores = contexts[keep], loss.grad_scores[keep]
+    grad_context = np.einsum("bn,bnd->bd", grad_scores, params.item_out_emb[scored])
+    updates = {
+        "user_emb": (users, grad_context),
+        "item_in_emb": (previous, (grad_context / L)[:, None, :]),
+        "item_out_emb": (scored, grad_scores[:, :, None] * contexts[:, None, :]),
+        "item_bias": (scored, grad_scores),
+    }
+    step = config.learning_rate * (1.0 / np.count_nonzero(keep))
+    for t, (idx, value) in updates.items():
+        grad = np.zeros_like(getattr(params, t))
+        np.add.at(grad, idx, value)
+        rows = np.unique(idx)
+        getattr(params, t)[rows] -= step * grad[rows]
+    return params
 
 
 # The per-user scalar metrics that `user_metrics` replaced, kept as its reference.

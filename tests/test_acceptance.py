@@ -50,7 +50,6 @@ from dppseq.oracle import (
 )
 from dppseq.scorer import (
     TrainConfig,
-    _Grads,
     backprop_scores,
     evaluate_model,
     init_params,
@@ -60,10 +59,13 @@ from dppseq.scorer import (
 )
 from dppseq.synthetic import make_synthetic_log
 from tests.conftest import (
+    dense_grads,
     instance_array,
     one_user_metrics,
+    pack,
     random_sequence_kernel,
     random_unit_row_kernel,
+    unpack,
 )
 
 
@@ -228,33 +230,18 @@ def test_05_gradient_suite():
                 time_step=2,
             )
 
-            def pack(p):
-                return np.concatenate(
-                    [p.user_emb.ravel(), p.item_in_emb.ravel(), p.item_out_emb.ravel(), p.item_bias]
-                )
-
-            def unpack(flat):
-                p = params.copy()
-                sizes = [n_users * d, n_items * d, n_items * d, n_items]
-                parts = np.split(flat, np.cumsum(sizes)[:-1])
-                p.user_emb = parts[0].reshape(n_users, d)
-                p.item_in_emb = parts[1].reshape(n_items, d)
-                p.item_out_emb = parts[2].reshape(n_items, d)
-                p.item_bias = parts[3]
-                return p
-
             result, scored = instance_loss(params, instance, loss_kind, kernel)
             assert not result.skipped
-            grads = _Grads()
-            backprop_scores(
-                params, instance.user, instance.previous, scored, result.grad_scores, grads
+            blocks = backprop_scores(
+                params, instance.user, instance.previous, scored, result.grad_scores
             )
-            dense = grads
             fd = oracle_fd_gradient(
-                lambda flat: instance_loss(unpack(flat), instance, loss_kind, kernel)[0].value,
+                lambda flat: instance_loss(
+                    unpack(flat, params), instance, loss_kind, kernel
+                )[0].value,
                 pack(params),
             )
-            _assert_close(pack(dense), fd)
+            _assert_close(pack(dense_grads(params, blocks)), fd)
 
 
 def _two_cluster_pairs(rng, n_pairs, n_items=20):

@@ -115,6 +115,13 @@ class TestLoadConfig:
         path.write_text("T=3\nkernel_dim=9\nlosses=dsl,cdsl\n")
         assert load_config(str(path), {}).kernel_dim == 9
 
+    def test_bpr_with_fewer_negatives_than_targets_rejected(self):
+        # bpr pairs the k-th target with the k-th negative
+        with pytest.raises(ValueError, match="bpr"):
+            load_config(None, {"T": "3", "Z": "2", "losses": "ce,bpr"})
+        assert load_config(None, {"T": "3", "Z": "3", "losses": "ce,bpr"}).Z == 3
+        assert load_config(None, {"T": "3", "Z": "1", "losses": "ce"}).Z == 1
+
     @pytest.mark.parametrize(
         "overrides",
         [{"set_size": "0"}, {"set_size": "-2"}, {"decay": "1.5"}, {"decay": "0"}, {"decay": "nan"}],
@@ -167,6 +174,13 @@ class TestExitCodes:
         out = tmp_path / "out"
         config = config_file(tmp_path, small_dataset, out, T=3)
         assert main(["--config", str(config), "prepare"]) == 2
+        assert not out.exists()
+
+    def test_bpr_with_fewer_negatives_than_targets_is_config_error(self, tmp_path, small_dataset):
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, T=3, Z=1, losses="ce,bpr")
+        for stage in (["prepare"], ["gen-sets"], ["train", "--loss", "bpr"], ["report"]):
+            assert main(["--config", str(config), *stage]) == 2, stage
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", [{"set_size": 0}, {"decay": 1.5}])

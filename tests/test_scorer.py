@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dppseq.data import SequenceInstance, SplitResult
+from dppseq.data import Instances, SequenceInstance, SplitResult
 from dppseq.kernel_learning import normalize_kernel
 from dppseq.kernels import DiversityKernelLowRank
 from dppseq.metrics import evaluate_ranking_fn
@@ -12,7 +12,6 @@ from dppseq.scorer import (
     RANK_BLOCK_USERS,
     ScorerParams,
     TrainConfig,
-    _Grads,
     backprop_scores,
     evaluate_model,
     init_params,
@@ -23,8 +22,14 @@ from dppseq.scorer import (
     train,
     validation_ndcg,
 )
-from tests.conftest import ndcg_at
-from tests.conftest import instance_array
+from tests.conftest import (
+    dense_grads,
+    instance_array,
+    ndcg_at,
+    pack,
+    reference_sgd_step,
+    unpack,
+)
 
 
 def zero_params(n_users=3, n_items=10, d=4):
@@ -34,34 +39,6 @@ def zero_params(n_users=3, n_items=10, d=4):
         item_out_emb=np.zeros((n_items, d)),
         item_bias=np.zeros(n_items),
     )
-
-
-def pack(params):
-    return np.concatenate(
-        [
-            params.user_emb.ravel(),
-            params.item_in_emb.ravel(),
-            params.item_out_emb.ravel(),
-            params.item_bias,
-        ]
-    )
-
-
-def unpack(flat, like):
-    p = like.copy()
-    n_u, d = like.user_emb.shape
-    n_i = like.item_bias.shape[0]
-    sizes = [n_u * d, n_i * d, n_i * d, n_i]
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    p.user_emb = parts[0].reshape(n_u, d)
-    p.item_in_emb = parts[1].reshape(n_i, d)
-    p.item_out_emb = parts[2].reshape(n_i, d)
-    p.item_bias = parts[3]
-    return p
-
-
-def grads_to_flat(grads, like):
-    return pack(grads)
 
 
 class TestScore:
@@ -106,9 +83,8 @@ class TestBackprop:
             p = unpack(flat, params)
             return float(weights @ score(p, user, previous, candidates))
 
-        grads = _Grads()
-        backprop_scores(params, user, previous, candidates, weights, grads)
-        analytic = grads_to_flat(grads, params)
+        blocks = backprop_scores(params, user, previous, candidates, weights)
+        analytic = pack(dense_grads(params, blocks))
         fd = oracle_fd_gradient(objective, pack(params))
         assert np.max(np.abs(analytic - fd)) < 1e-7
 
@@ -128,22 +104,54 @@ class TestBackprop:
             return result.value
 
         result, scored = instance_loss(params, instance, loss_kind, kernel)
-        grads = _Grads()
-        backprop_scores(
-            params, instance.user, instance.previous, scored, result.grad_scores, grads
+        blocks = backprop_scores(
+            params, instance.user, instance.previous, scored, result.grad_scores
         )
-        analytic = grads_to_flat(grads, params)
+        analytic = pack(dense_grads(params, blocks))
         fd = oracle_fd_gradient(objective, pack(params))
         denom = np.maximum(np.abs(fd), 1e-3)
         assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
     def test_repeated_candidate_accumulates(self):
         params = init_params(2, 5, d=3, seed=0)
-        grads = _Grads()
-        backprop_scores(params, 0, [1], [2, 2], np.array([1.0, 1.0]), grads)
-        single = _Grads()
-        backprop_scores(params, 0, [1], [2], np.array([2.0]), single)
-        assert np.allclose(grads.item_bias[2], single.item_bias[2])
+        repeated = backprop_scores(params, 0, [1], [2, 2], np.array([1.0, 1.0]))
+        single = backprop_scores(params, 0, [1], [2], np.array([2.0]))
+        assert np.allclose(
+            dense_grads(params, repeated).item_bias[2], dense_grads(params, single).item_bias[2]
+        )
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "bpr", "dsl", "cdsl"])
+    def test_step_equals_dense_accumulation(self, loss_kind):
+        # one step of `train` over 120 rows of 3 users and 6 items, so every
+        # item recurs across rows.  ce and bpr rows repeat items within a row
+        # too.  dsl and cdsl rows are sets; item 6 has a zero factor row, so
+        # the one row with it among its targets is singular and skipped
+        rng = np.random.default_rng(11)
+        P, T, Z = 2, 2, 2
+        if loss_kind in ("ce", "bpr"):
+            items = rng.integers(0, 6, size=(120, P + T + Z))
+            assert any(len(set(row)) < len(row) for row in items.tolist())
+        else:
+            items = np.array([rng.permutation(6) for _ in range(120)])
+            items[0, P] = 6
+        instances = Instances(
+            users=rng.integers(0, 3, size=120),
+            items=items,
+            time_steps=np.full(120, P),
+            L=P,
+            T=T,
+        )
+        V = rng.standard_normal((7, 6))
+        V[6] = 0.0
+        kernel = DiversityKernelLowRank(V)
+        params = init_params(3, 7, d=4, seed=3)
+        config = TrainConfig(learning_rate=0.3, batch_size=120, max_epochs=1, seed=4)
+        trained, tlog = train(params, instances, loss_kind, kernel, config)
+        assert tlog.skipped_instances == (loss_kind in ("dsl", "cdsl"))
+        expected = reference_sgd_step(params, instances, loss_kind, kernel, config)
+        for table in ("user_emb", "item_in_emb", "item_out_emb", "item_bias"):
+            assert np.array_equal(getattr(trained, table), getattr(expected, table))
+            assert not np.array_equal(getattr(trained, table), getattr(params, table))
 
 
 def toy_instances(n_users=6, n_items=20, per_user=3):
