@@ -7,7 +7,6 @@ numerically.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from dppseq.kernels import (
     GroundSet,
@@ -34,7 +33,7 @@ print(np.round(kernel.matrix, 3))
 
 # normalization: summing det(L_Y) over all 16 subsets equals det(L + I)
 brute = enumerate_normalizer(kernel)
-closed = la.det(kernel.matrix + np.eye(4))
+closed = np.linalg.det(kernel.matrix + np.eye(4))
 print(f"\nsum of subset determinants = {brute:.6f}")
 print(f"det(L + I)                 = {closed:.6f}")
 
@@ -51,7 +50,7 @@ print(f"\nlog P(targets)  analytic   = {ll:.6f}")
 print(f"log P(targets)  enumerated = {np.log(dist[frozenset(target_set)]):.6f}")
 
 # marginal inclusion probabilities from the kernel: diag of L (L + I)^-1
-M = kernel.matrix @ la.inv(kernel.matrix + np.eye(4))
+M = kernel.matrix @ np.linalg.inv(kernel.matrix + np.eye(4))
 print("\nper-item marginals (closed form vs enumeration):")
 for i in range(4):
     print(f"  item {i}: {M[i, i]:.4f} vs {oracle_marginal(kernel, i):.4f}")

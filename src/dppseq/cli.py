@@ -397,6 +397,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # `resolve` checks the settings of the configured losses only
+    if args.command in ("train", "evaluate") and args.loss not in config.losses:
+        losses = ",".join(config.losses)
+        print(f"config error: --loss {args.loss} is not in losses={losses}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         if args.command == "prepare":

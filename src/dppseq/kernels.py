@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as la
 
 RAW_SCORE_CLAMP = 30.0
 DEFAULT_JITTER = 1e-6
@@ -176,6 +175,9 @@ def _check_symmetric(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
+    # LAPACK factors NaN into NaN without an error, and inf - inf below warns
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("array must not contain infs or NaNs")
     if matrix.size and np.max(np.abs(matrix - matrix.T)) > tol:
         raise ValueError("matrix must be symmetric")
     return matrix
@@ -183,20 +185,17 @@ def _check_symmetric(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def log_det_psd(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> float:
     """log det of a symmetric PSD matrix via Cholesky, with one jitter retry."""
-    matrix = _check_symmetric(matrix)
-    if matrix.shape[0] == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(_cholesky_jittered(matrix, jitter)))))
+    return float(_log_det_of_factor(_cholesky_jittered(_check_symmetric(matrix), jitter)))
 
 
 def _cholesky_jittered(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
     """Lower Cholesky factor, with one diagonal-jitter retry."""
     try:
-        return la.cholesky(matrix, lower=True)
-    except la.LinAlgError:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
         try:
-            return la.cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
-        except la.LinAlgError as exc:
+            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
+        except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("matrix indefinite even after jitter") from exc
 
 
@@ -207,17 +206,14 @@ def _log_det_or_neginf(matrix: np.ndarray) -> float:
     numerical failure, so no jitter is applied here.
     """
     matrix = _check_symmetric(matrix)
-    if matrix.shape[0] == 0:
-        return 0.0
     try:
-        chol = la.cholesky(matrix, lower=True)
-    except la.LinAlgError:
-        eigs = la.eigvalsh(matrix)
-        scale = max(1.0, float(np.max(np.abs(eigs)))) if eigs.size else 1.0
+        return float(_log_det_of_factor(np.linalg.cholesky(matrix)))
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(matrix)
+        scale = max(1.0, float(np.max(np.abs(eigs))))
         if np.min(eigs) <= 1e-12 * scale:
             return -np.inf
         return float(np.sum(np.log(eigs)))
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _validate_positions(kernel: SequenceKernel, positions: Sequence[int]) -> np.ndarray:
@@ -288,12 +284,12 @@ def grad_quality(
 
     mask = np.ones(kernel.size)
     mask[obs] = 0.0
-    chol = _cholesky_jittered(kernel.matrix + np.diag(mask))
-    inv_denom = la.cho_solve((chol, True), np.eye(kernel.size))
+    chol = _cholesky_jittered(_check_symmetric(kernel.matrix + np.diag(mask)))
+    inv_chol = np.linalg.inv(chol)
 
     q = kernel.qualities.qualities
     # diag(K_sub Q B), computed without forming the product matrix
-    diag_kqb = np.einsum("ij,j,ji->i", kernel.base, q, inv_denom)
+    diag_kqb = np.einsum("ij,j,ji->i", kernel.base, q, inv_chol.T @ inv_chol)
     grad = q * diag_kqb
     grad[sel] -= 1.0
     # exactly 0 at observed positions: P(Y | Y_obs) does not depend on their

@@ -12,7 +12,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as la
 
 from .kernels import DiversityKernelLowRank, SequenceKernel, _validate_positions
 
@@ -66,13 +65,15 @@ def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -
     if kernel.size > 15:
         raise ValueError("ground set too large for 2^n enumeration")
     req = _validate_positions(kernel, required)
+    if not np.all(np.isfinite(kernel.matrix)):
+        raise ValueError("array must not contain infs or NaNs")
     free = [p for p in range(kernel.size) if p not in set(req)]
     total = 0.0
     for r in range(len(free) + 1):
         for extra in combinations(free, r):
             pos = np.asarray(sorted(set(req) | set(extra)), dtype=int)
             sub = kernel.matrix[np.ix_(pos, pos)]
-            total += float(la.det(sub)) if pos.size else 1.0
+            total += float(np.linalg.det(sub))
     return total
 
 

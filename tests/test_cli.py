@@ -183,6 +183,20 @@ class TestExitCodes:
             assert main(["--config", str(config), *stage]) == 2, stage
         assert not out.exists()
 
+    def test_loss_outside_config_losses_is_config_error(self, tmp_path, small_dataset):
+        # the bpr (Z >= T) and cdsl (kernel_dim >= L+T) checks of `resolve`
+        # cover only the configured losses, and neither holds here
+        out = tmp_path / "out"
+        config = config_file(tmp_path, small_dataset, out, T=3, Z=1, losses="ce")
+        base = ["--config", str(config)]
+        for stage in ("prepare", "gen-sets", "train-kernel"):
+            assert main(base + [stage]) == 0, stage
+        for loss in ("bpr", "cdsl"):
+            for verb in ("train", "evaluate"):
+                assert main(base + [verb, "--loss", loss]) == 2, (verb, loss)
+            assert not (out / f"scorer_{loss}.txt").exists()
+            assert not (out / f"train_log_{loss}.csv").exists()
+
     @pytest.mark.parametrize("setting", [{"set_size": 0}, {"decay": 1.5}])
     def test_bad_set_generation_setting_is_config_error(self, tmp_path, small_dataset, setting):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Each demo runs to completion in its own process, with one BLAS thread.
+"""Each demo runs to completion in its own process, with one BLAS thread
+and with scipy unimportable: the program needs only numpy.
 
 TMPDIR points at the test's own directory, so the directories that demos
 make with `tempfile` go away with it.
@@ -14,6 +15,11 @@ import pytest
 import dppseq
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+# blocks `import scipy` in the child, then runs the demo as its main module
+RUN_WITHOUT_SCIPY = (
+    "import runpy, sys; sys.modules['scipy'] = None; "
+    "runpy.run_path(sys.argv[1], run_name='__main__')"
+)
 DEMOS = [
     "01_set_probabilities",
     "02_set_likelihood_losses",
@@ -35,7 +41,7 @@ def test_demo_exits_zero(demo, tmp_path):
         MKL_NUM_THREADS="1",
     )
     result = subprocess.run(
-        [sys.executable, str(DEMO_DIR / f"{demo}.py")],
+        [sys.executable, "-c", RUN_WITHOUT_SCIPY, str(DEMO_DIR / f"{demo}.py")],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -1,5 +1,6 @@
 """Kernel construction, log-determinants, set likelihoods, and gradients."""
 
+import dataclasses
 import math
 from itertools import combinations, permutations
 
@@ -268,6 +269,25 @@ class TestGradQuality:
             QualityVector.from_raw_scores([0.0]), identity_kernel(1), gs
         )
         assert abs(grad_quality(sk, selected=[0])[0]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 3)], ids=["in_numerator", "outside_numerator"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sk: log_det_psd(sk.matrix), id="log_det_psd"),
+        pytest.param(lambda sk: dsl_log_likelihood(sk, [0, 1]), id="dsl"),
+        pytest.param(lambda sk: cdsl_log_likelihood(sk, [0], [0, 1]), id="cdsl"),
+        pytest.param(lambda sk: grad_quality(sk, [0, 1], conditioned=[0]), id="grad_quality"),
+    ],
+)
+def test_nonfinite_matrix_rejected(call, entry, bad, rng):
+    sk = random_sequence_kernel(4, rng)
+    matrix = sk.matrix.copy()
+    matrix[entry] = matrix[entry[::-1]] = bad
+    with pytest.raises(ValueError):
+        call(dataclasses.replace(sk, matrix=matrix))
 
 
 class TestInvariants:

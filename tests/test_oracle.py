@@ -8,6 +8,7 @@ from dppseq.kernels import log_det_psd
 from dppseq.oracle import (
     cofactor_det,
     compare_gradients,
+    enumerate_normalizer,
     oracle_dpp_distribution,
     oracle_fd_gradient,
 )
@@ -27,6 +28,14 @@ def test_cofactor_agrees_with_log_det_psd(rng):
         A = rng.standard_normal((n, n))
         psd = A @ A.T + 0.5 * np.eye(n)
         assert np.log(cofactor_det(psd)) == pytest.approx(log_det_psd(psd), rel=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_enumerate_normalizer_rejects_nonfinite(bad):
+    matrix = np.eye(3)
+    matrix[0, 1] = matrix[1, 0] = bad
+    with pytest.raises(ValueError):
+        enumerate_normalizer(make_kernel(matrix))
 
 
 def test_distribution_single_item():
