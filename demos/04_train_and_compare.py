@@ -23,19 +23,8 @@ print(f"{log.n_users} users, {log.n_items} items, {len(instances)} training inst
 
 # diverse sets -> diversity kernel (needed by the set losses)
 histories = user_histories(split)
-catalog = {}
-for item, cats in enumerate(log.item_categories):
-    for c in cats:
-        catalog.setdefault(c, []).append(item)
 pairs = [
-    build_paired_sets(
-        u,
-        [(i, log.item_categories[i]) for i in dict.fromkeys(tr)],
-        histories[u],
-        catalog,
-        log.n_items,
-        seed=u,
-    )
+    build_paired_sets(u, list(dict.fromkeys(tr)), histories[u], log.item_categories, seed=u)
     for u, tr in enumerate(split.train)
     if tr
 ]
@@ -56,7 +45,6 @@ for loss_kind in ("ce", "bpr", "dsl", "cdsl"):
         log.n_items,
         L,
         log.item_categories,
-        log.n_categories,
         N_list=(5,),
         loss_name=loss_kind,
     )

@@ -220,15 +220,12 @@ def cmd_prepare(config: ExperimentConfig) -> None:
 def cmd_gen_sets(config: ExperimentConfig) -> None:
     log_, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
-    cats = log_.item_categories
-    catalog = {c: np.flatnonzero([c in own for own in cats]) for c in range(log_.n_categories)}
     pairs = [
         ds_mod.build_paired_sets(
             u,
-            [(i, cats[i]) for i in dict.fromkeys(train_items)],
+            list(dict.fromkeys(train_items)),
             histories[u],
-            catalog,
-            log_.n_items,
+            log_.item_categories,
             decay=config.decay,
             set_size=config.set_size,
             seed=config.seed,
@@ -331,7 +328,6 @@ def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:
         log_.n_items,
         config.L,
         log_.item_categories,
-        log_.n_categories,
         N_list=config.n_list,
         loss_name=loss_kind,
     )

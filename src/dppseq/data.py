@@ -34,7 +34,7 @@ class InteractionLog:
     user_ids: list[str]  # dense index -> original id
     item_ids: list[str]
     category_ids: list[str]
-    item_categories: list[frozenset]  # by item index: category indices over all its rows
+    item_categories: np.ndarray  # (M, C) bool: row i marks item i's categories over all its rows
 
     @property
     def n_users(self) -> int:
@@ -116,9 +116,12 @@ def _build_log(
     category_ids = list(dict.fromkeys(chain.from_iterable(parts)))
     index = {c: k for k, c in enumerate(category_ids)}
     canonical = np.array([";".join(sorted(set(p))) for p in parts], dtype=object)
-    item_cats: list[set] = [set() for _ in item_ids]
-    for pair in np.unique(item_codes * len(cells) + cell_codes).tolist():
-        item_cats[pair // len(cells)].update(index[c] for c in parts[pair % len(cells)])
+    cell_categories = np.zeros((len(cells), len(category_ids)), dtype=bool)
+    for cell, p in enumerate(parts):
+        cell_categories[cell, [index[c] for c in p]] = True
+    pairs = np.unique(item_codes * len(cells) + cell_codes)
+    item_categories = np.zeros((len(item_ids), len(category_ids)), dtype=bool)
+    np.logical_or.at(item_categories, pairs // len(cells), cell_categories[pairs % len(cells)])
     return InteractionLog(
         users=user_codes,
         items=item_codes,
@@ -127,7 +130,7 @@ def _build_log(
         user_ids=user_ids,
         item_ids=item_ids,
         category_ids=category_ids,
-        item_categories=[frozenset(c) for c in item_cats],
+        item_categories=item_categories,
     )
 
 

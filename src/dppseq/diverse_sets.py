@@ -19,7 +19,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ DEFAULT_DECAY = 0.5
 DEFAULT_SET_SIZE = 5
 POSITIVE_STREAM, NEGATIVE_STREAM = 0, 1
 POSITIVE_BLOCK = 8  # positive sets drawn at once; those past full coverage are dropped
-
-_NO_ITEMS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass
@@ -56,7 +54,8 @@ class PairedDiverseSets:
 
 
 def generate_diverse_sets(
-    user_items: Sequence[tuple[int, frozenset]],
+    items: Sequence[int],
+    categories: np.ndarray,
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int | np.random.SeedSequence = 0,
@@ -64,27 +63,28 @@ def generate_diverse_sets(
     """Emit positive sets until every item has appeared in at least one set,
     as an (S, min(set_size, n)) array of item ids, each row ascending.
 
-    `user_items` is a list of (item index, category-id set).  Weights reset to
-    uniform at the start of each set, so the sets are identically distributed.
-    Each pick is the inverse-CDF draw that `rng.choice(n, p=weights /
-    weights.sum())` makes from one `rng.random()`.  The sets are drawn
-    POSITIVE_BLOCK at a time, as array code over a block of uniforms drawn
-    at once: the same uniforms, in the same order, as one set after another.
+    `items` are n distinct item ids and `categories` their (n, C) bool rows
+    of the item x category table.  Weights reset to uniform at the start of
+    each set, so the sets are identically distributed.  Each pick is the
+    inverse-CDF draw that `rng.choice(n, p=weights / weights.sum())` makes
+    from one `rng.random()`.  The sets are drawn POSITIVE_BLOCK at a time, as
+    array code over a block of uniforms drawn at once: the same uniforms, in
+    the same order, as one set after another.
     """
-    if not user_items:
+    if not len(items):
         raise ValueError("user has no items to sample from")
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must be in (0, 1]")
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
-    items = np.array([i for i, _ in user_items], dtype=np.intp)
+    items = np.asarray(items, dtype=np.intp)
     n = len(items)
     size = min(set_size, n)
     rng = np.random.default_rng(seed)
     # factor[i]: what a pick of item i multiplies the weights by: 0 for
     # item i itself, `decay` for the items sharing a category with it (a
     # weight already 0 stays 0) and 1 for the rest
-    factor = np.where(_shares([c for _, c in user_items]), decay, 1.0)
+    factor = np.where(categories @ categories.T, decay, 1.0)
     np.fill_diagonal(factor, 0.0)
 
     covered, sets, drawn = set(), [], []
@@ -99,20 +99,6 @@ def generate_diverse_sets(
     if not all(drawn[: len(sets)]):
         raise ValueError("decayed weights underflowed to zero; raise decay")
     return np.sort(items[sets], axis=1)
-
-
-def _shares(categories: Sequence[Iterable[int]]) -> np.ndarray:
-    """shares[i, j]: items i and j have a category in common, from the
-    product of the item x category incidence matrix with itself."""
-    columns: dict[int, int] = {}
-    rows, cols = [], []
-    for r, cats in enumerate(categories):
-        for c in cats:
-            rows.append(r)
-            cols.append(columns.setdefault(c, len(columns)))
-    incidence = np.zeros((len(categories), len(columns)))
-    incidence[rows, cols] = 1.0
-    return incidence @ incidence.T > 0
 
 
 def _draw_block(
@@ -161,11 +147,10 @@ def sample_negative_set(
 
     `pools[k]` is the candidate pool of the k-th positive item in ascending
     item order: the sorted catalog items outside the user's history that
-    share a category with it (see `unseen_pool`).  Each match is drawn
-    uniformly from its pool less the items already chosen, the draw
-    `rng.choice` makes on that remainder.  Falls back to a uniform draw
-    over `unseen`, the sorted items outside the history, when nothing
-    remains.
+    share a category with it.  Each match is drawn uniformly from its pool
+    less the items already chosen, the draw `rng.choice` makes on that
+    remainder.  Falls back to a uniform draw over `unseen`, the sorted items
+    outside the history, when nothing remains.
     """
     chosen: list[int] = []
     for pool in pools:
@@ -201,23 +186,6 @@ def _draw_unchosen(
     return int(pool[j])
 
 
-def unseen_pool(
-    catalog_by_category: Mapping[int, Sequence[int]],
-    categories: Iterable[int],
-    unseen_mask: np.ndarray,
-) -> list[int]:
-    """The sorted catalog items in any of `categories` that the boolean mask
-    `unseen_mask` keeps.  The catalog's per-category items must be sorted
-    and distinct."""
-    own = [
-        np.asarray(catalog_by_category[c], dtype=np.intp)
-        for c in categories
-        if c in catalog_by_category
-    ]
-    items = own[0] if len(own) == 1 else np.unique(np.concatenate([_NO_ITEMS, *own]))
-    return items[unseen_mask[items]].tolist()
-
-
 def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
     """Seed of one user's POSITIVE_STREAM or NEGATIVE_STREAM draws; every
     (seed, user, stream) gets its own, independent stream."""
@@ -226,10 +194,9 @@ def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
 
 def build_paired_sets(
     user: int,
-    user_items: Sequence[tuple[int, frozenset]],
+    items: Sequence[int],
     user_history: Iterable[int],
-    catalog_by_category: Mapping[int, Sequence[int]],
-    n_items: int,
+    item_categories: np.ndarray,
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int = 0,
@@ -239,22 +206,28 @@ def build_paired_sets(
     `seed` is the global seed: the positive and the negative sets are drawn
     from the streams `user_seed(seed, user, ...)`, so generation is
     deterministic regardless of user processing order.
-    `catalog_by_category` maps a category to its items, sorted, and the
-    catalog's items are 0..n_items-1.  Each distinct category set of the
-    user's items gets its candidate pool once.
+    `items` are the user's distinct training items and `item_categories`
+    the (M, C) bool item x category table of the catalog's items 0..M-1.
+    Each distinct category row of the user's items gets its candidate pool
+    once: the unseen items that share a column with it.
     """
+    items = np.asarray(items, dtype=np.intp)
+    categories = item_categories[items]
     positives = generate_diverse_sets(
-        user_items, decay=decay, set_size=set_size, seed=user_seed(seed, user, POSITIVE_STREAM)
+        items, categories, decay, set_size, seed=user_seed(seed, user, POSITIVE_STREAM)
     )
     rng = np.random.default_rng(user_seed(seed, user, NEGATIVE_STREAM))
-    unseen_mask = np.ones(n_items, dtype=bool)
+    unseen_mask = np.ones(len(item_categories), dtype=bool)
     unseen_mask[list(user_history)] = False
     unseen = np.flatnonzero(unseen_mask)
-    cats_of = {int(i): frozenset(c) for i, c in user_items}
-    pools = {c: unseen_pool(catalog_by_category, c, unseen_mask) for c in set(cats_of.values())}
+    pool_of, pools = {}, {}  # pools: one per distinct category row, keyed by its bytes
+    for item, row in zip(items.tolist(), categories):
+        key = row.tobytes()
+        if key not in pools:
+            pools[key] = np.flatnonzero(unseen_mask & item_categories[:, row].any(axis=1)).tolist()
+        pool_of[item] = pools[key]
     negatives = [
-        sample_negative_set([pools[cats_of[i]] for i in pos], unseen, rng)
-        for pos in positives.tolist()
+        sample_negative_set([pool_of[i] for i in pos], unseen, rng) for pos in positives.tolist()
     ]
     return PairedDiverseSets(user, positives, negatives)
 

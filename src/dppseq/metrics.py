@@ -97,21 +97,11 @@ def flat_index(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(counts)), counts), items
 
 
-def category_incidence(item_categories: Sequence[frozenset]) -> np.ndarray:
-    """(M + 1, C) table whose row i marks item i's categories.  The last row
-    marks none, so the -1 padding of `rank_candidates` covers nothing."""
-    items, cats = flat_index(item_categories)
-    table = np.zeros((len(item_categories) + 1, cats.max(initial=-1) + 1), dtype=bool)
-    table[items, cats] = True
-    return table
-
-
 def user_metrics(
     ranked: np.ndarray,
     relevant: Sequence[Sequence[int]],
     N_list: Sequence[int],
-    incidence: np.ndarray | None = None,
-    n_categories: int = 1,
+    item_categories: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recall, NDCG and category coverage at each N, per user, from (U, K)
     top items (best first, `rank_candidates` output, K >= max(N_list)).
@@ -120,9 +110,9 @@ def user_metrics(
     item, and a (3, len(N_list), kept.sum()) array of their values.  Repeated
     relevant items count once.  NDCG has binary relevance and a 1/log2(rank+1)
     discount; DCG is a running sum in rank order.  Coverage is the share of
-    `n_categories` that the top N items' rows of `incidence` (see
-    `category_incidence`) mark, and 0 without it.  Users go through in blocks
-    of RANK_BLOCK_USERS.
+    the columns of the (M, C) bool item x category table `item_categories`
+    that the top N items' rows mark, the -1 padding marking none, and 0
+    without the table.  Users go through in blocks of RANK_BLOCK_USERS.
     """
     cols = np.asarray(N_list) - 1
     # each discount is the scalar expression, so that values match a per-user loop bit for bit
@@ -146,9 +136,10 @@ def user_metrics(
         dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)[:, cols]
         ndcg = dcg / ideal[np.minimum(cols + 1, n_relevant) - 1]
         cc = np.zeros_like(recall)
-        if incidence is not None:
-            covered = np.logical_or.accumulate(incidence[block], axis=1)
-            cc = np.count_nonzero(covered, axis=2)[:, cols] / n_categories
+        if item_categories is not None:
+            marked = item_categories[block] & (block >= 0)[:, :, None]
+            covered = np.logical_or.accumulate(marked, axis=1)
+            cc = np.count_nonzero(covered, axis=2)[:, cols] / item_categories.shape[1]
         parts.append(np.stack([recall.T, ndcg.T, cc.T]))
     values = np.concatenate(parts, axis=2) if parts else np.zeros((3, len(cols), 0))
     return kept, values
@@ -157,8 +148,7 @@ def user_metrics(
 def evaluate_ranking_fn(
     ranked: np.ndarray,
     relevant_per_user: Sequence[Sequence[int]],
-    item_categories: Sequence[frozenset],
-    n_categories: int,
+    item_categories: np.ndarray,
     N_list: Sequence[int] = (3, 5, 10),
     loss_name: str = "",
     T: int = 0,
@@ -169,10 +159,9 @@ def evaluate_ranking_fn(
     Users with no relevant items or no ranked items are left out of the
     averages; a ValueError is raised when no user is left.
     """
-    if n_categories < 1:
-        raise ValueError("n_categories must be >= 1")
-    incidence = category_incidence(item_categories)
-    _, values = user_metrics(ranked, relevant_per_user, N_list, incidence, n_categories)
+    if item_categories.shape[1] < 1:
+        raise ValueError("item_categories must have a category column")
+    _, values = user_metrics(ranked, relevant_per_user, N_list, item_categories)
     if not values.shape[2]:
         raise ValueError("no users were evaluable")
     rows = []

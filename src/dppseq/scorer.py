@@ -362,8 +362,7 @@ def evaluate_model(
     split: SplitResult,
     n_items: int,
     L: int,
-    item_categories: Sequence[frozenset],
-    n_categories: int,
+    item_categories: np.ndarray,
     N_list: Sequence[int] = (3, 5, 10),
     loss_name: str = "",
 ) -> MetricTable:
@@ -373,9 +372,7 @@ def evaluate_model(
     ranked = _rank_users(params, users, history, L, n_items, max(N_list))
     relevant = [split.test[u] for u in users]
     T = max((len(t) for t in split.test if t), default=0)
-    return evaluate_ranking_fn(
-        ranked, relevant, item_categories, n_categories, N_list, loss_name, T
-    )
+    return evaluate_ranking_fn(ranked, relevant, item_categories, N_list, loss_name, T)
 
 
 def save_params(path, params: ScorerParams) -> None:

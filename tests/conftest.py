@@ -8,7 +8,7 @@ from dppseq.kernels import (
     QualityVector,
     build_sequence_kernel,
 )
-from dppseq.metrics import category_incidence, user_metrics
+from dppseq.metrics import user_metrics
 from dppseq.scorer import _TABLES, ScorerParams, _batch_loss
 
 
@@ -59,13 +59,22 @@ def instance_array(rows):
     )
 
 
-def one_user_metrics(ranked, relevant, N, item_categories=None, n_categories=1):
-    """(recall, ndcg, cc) at N of one user's top items through
-    `user_metrics`, or None when the user is left out."""
+def category_table(item_categories, n_categories):
+    """The (M, n_categories) bool item x category table of one collection of
+    category ids per item."""
+    table = np.zeros((len(item_categories), n_categories), dtype=bool)
+    for item, categories in enumerate(item_categories):
+        table[item, list(categories)] = True
+    return table
+
+
+def one_user_metrics(ranked, relevant, N, item_categories=None):
+    """(recall, ndcg, cc) at N of one user's top items, padded with -1 to N,
+    through `user_metrics` with the item x category table `item_categories`,
+    or None when the user is left out."""
     row = np.full((1, max(N, len(ranked))), -1, dtype=np.intp)
     row[0, : len(ranked)] = ranked
-    incidence = None if item_categories is None else category_incidence(item_categories)
-    kept, values = user_metrics(row, [relevant], (N,), incidence, n_categories)
+    kept, values = user_metrics(row, [relevant], (N,), item_categories)
     return tuple(values[:, 0, 0].tolist()) if kept[0] else None
 
 

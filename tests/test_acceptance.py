@@ -59,6 +59,7 @@ from dppseq.scorer import (
 )
 from dppseq.synthetic import make_synthetic_log
 from tests.conftest import (
+    category_table,
     dense_grads,
     instance_array,
     one_user_metrics,
@@ -278,8 +279,8 @@ def test_07_metric_fixtures():
     assert round(nd, 5) == 0.38685
     assert one_user_metrics([5, 0, 1], [5], 3)[1] == 1.0
     assert one_user_metrics([0, 1, 2], [9], 3)[1] == 0.0
-    cats = [frozenset({0}), frozenset({0, 1}), frozenset({2})]
-    assert one_user_metrics([0, 1, 2], [0], 3, cats, 10)[2] == pytest.approx(0.3)
+    cats = category_table([{0}, {0, 1}, {2}], 10)
+    assert one_user_metrics([0, 1, 2], [0], 3, cats)[2] == pytest.approx(0.3)
     assert f_score(0.5, 0.5) == pytest.approx(0.5)
     assert f_score(0.04, 0.3) == pytest.approx(0.024 / 0.34)
     assert round(f_score(0.04, 0.3), 6) == 0.070588
@@ -294,16 +295,12 @@ def test_08_end_to_end_directional():
     instances = make_instances(split, 200, L=6, T=3, Z=3, seed=0)
     histories = user_histories(split)
 
-    catalog = {}
-    for item, cats in enumerate(log.item_categories):
-        for c in cats:
-            catalog.setdefault(c, []).append(item)
     pairs = []
     for u, tr in enumerate(split.train):
         if not tr:
             continue
-        user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(tr)]
-        pairs.append(build_paired_sets(u, user_items, histories[u], catalog, 200, seed=u))
+        items = list(dict.fromkeys(tr))
+        pairs.append(build_paired_sets(u, items, histories[u], log.item_categories, seed=u))
     kernel, _ = train_kernel(
         pairs, 200, KernelTrainConfig(latent_dim=32, learning_rate=0.005, epochs=20, seed=0)
     )
@@ -319,7 +316,7 @@ def test_08_end_to_end_directional():
         trained, tlog = train(params, instances, loss_kind, kernel, config, validate)
         best_val[loss_kind] = max(tlog.epoch_val_ndcg)
         table = evaluate_model(
-            trained, split, 200, 6, log.item_categories, 10, N_list=(5,), loss_name=loss_kind
+            trained, split, 200, 6, log.item_categories, N_list=(5,), loss_name=loss_kind
         )
         rows[loss_kind] = table.rows[0]
 

@@ -50,7 +50,7 @@ class TestLoadInteractions:
         assert log.n_users == 2
         assert log.n_items == 2
         assert log.n_categories == 2
-        assert log.item_categories[log.item_ids.index("i2")] == frozenset({0, 1})
+        assert log.item_categories.tolist() == [[True, True], [True, True]]
 
     def test_empty_category_rejected_strict(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -226,7 +226,9 @@ def assert_logs_equal(got, want):
     assert got.user_ids == want.user_ids
     assert got.item_ids == want.item_ids
     assert got.category_ids == want.category_ids
-    assert got.item_categories == want.item_categories
+    table = got.item_categories
+    assert table.dtype == bool and table.shape == (len(got.item_ids), len(got.category_ids))
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in table] == want.item_categories
     assert columns_of(got) == reference_columns_of(want)
 
 
@@ -245,11 +247,20 @@ def written(write, log):
 def test_matches_the_record_reference(tmp_path):
     rng = np.random.default_rng(2024)
     seen = {"multi_pass": 0, "dropped": 0, "starved": 0, "ties": 0, "repeats": 0}
+    seen.update(varying_categories=0, repeated_parts=0, empty_parts=0)
     for case in range(150):
         path = tmp_path / f"{case}.csv"
-        path.write_text(random_csv(rng))
+        text = random_csv(rng)
+        path.write_text(text)
         got, want = load_interactions(path), reference_load_interactions(path)
         assert_logs_equal(got, want)
+        by_item = {}
+        for rec in want.records:
+            by_item.setdefault(rec.item, set()).add(rec.categories)
+        seen["varying_categories"] += any(len(c) > 1 for c in by_item.values())
+        parts = [line.rsplit(",", 1)[1].split(";") for line in text.splitlines()[1:]]
+        seen["repeated_parts"] += any(len(set(p) - {""}) < len(p) - p.count("") for p in parts)
+        seen["empty_parts"] += any("" in p for p in parts)
 
         k = int(rng.integers(1, 5))
         try:

@@ -22,7 +22,7 @@ from dppseq.diverse_sets import (
     sample_negative_set,
     _choice_cdf,
     _choice_pick,
-    unseen_pool,
+    _draw_block,
     user_seed,
 )
 from dppseq.kernel_learning import (
@@ -33,16 +33,41 @@ from dppseq.kernel_learning import (
     train_kernel,
 )
 from dppseq.synthetic import make_synthetic_log
+from tests.conftest import category_table
 
 
 def items_with_cats(cats_per_item):
     return [(i, frozenset(c)) for i, c in enumerate(cats_per_item)]
 
 
+def as_arrays(user_items, n_categories=None):
+    """`generate_diverse_sets`'s items and category rows of (item, category
+    set) pairs."""
+    cats = [c for _, c in user_items]
+    width = n_categories or 1 + max(chain.from_iterable(cats), default=0)
+    return [i for i, _ in user_items], category_table(cats, width)
+
+
 def unseen_mask(n_items, history):
     mask = np.ones(n_items, dtype=bool)
     mask[list(history)] = False
     return mask
+
+
+_NO_ITEMS = np.zeros(0, dtype=np.intp)
+
+
+def unseen_pool(catalog_by_category, categories, unseen_mask):
+    """The union of per-category catalog arrays that `build_paired_sets`
+    replaced with a column test on the item x category table: the sorted
+    catalog items in any of `categories` that `unseen_mask` keeps."""
+    own = [
+        np.asarray(catalog_by_category[c], dtype=np.intp)
+        for c in categories
+        if c in catalog_by_category
+    ]
+    items = own[0] if len(own) == 1 else np.unique(np.concatenate([_NO_ITEMS, *own]))
+    return items[unseen_mask[items]].tolist()
 
 
 def negative_pools(positive, positive_categories, catalog, history, n_items):
@@ -56,13 +81,13 @@ def negative_pools(positive, positive_categories, catalog, history, n_items):
 class TestGenerateDiverseSets:
     def test_five_items_five_categories_single_set(self):
         user_items = items_with_cats([[0], [1], [2], [3], [4]])
-        sets = generate_diverse_sets(user_items, seed=1)
+        sets = generate_diverse_sets(*as_arrays(user_items), seed=1)
         assert sets.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_single_category_uniform_decay(self):
         user_items = items_with_cats([[0]] * 5)
         for seed in range(50):
-            sets = generate_diverse_sets(user_items, seed=seed)
+            sets = generate_diverse_sets(*as_arrays(user_items), seed=seed)
             assert sets.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_decay_increases_category_diversity(self):
@@ -73,7 +98,7 @@ class TestGenerateDiverseSets:
         def mean_categories(decay, runs=400):
             counts = []
             for seed in range(runs):
-                for s in generate_diverse_sets(user_items, decay=decay, seed=seed):
+                for s in generate_diverse_sets(*as_arrays(user_items), decay=decay, seed=seed):
                     cats = {0 if i < 5 else 1 for i in s}
                     counts.append(len(cats))
             return float(np.mean(counts))
@@ -84,36 +109,36 @@ class TestGenerateDiverseSets:
         rng = np.random.default_rng(0)
         cats = [[int(rng.integers(3))] for _ in range(12)]
         user_items = items_with_cats(cats)
-        sets = generate_diverse_sets(user_items, seed=3)
+        sets = generate_diverse_sets(*as_arrays(user_items), seed=3)
         assert set(sets.ravel().tolist()) == set(range(12))
         assert sets.dtype == np.intp and sets.shape[1] == 5
         assert np.all(sets[:, 1:] > sets[:, :-1])  # distinct items, ascending
 
     def test_short_user_gets_small_sets(self):
         user_items = items_with_cats([[0], [1], [2]])
-        sets = generate_diverse_sets(user_items, seed=0)
+        sets = generate_diverse_sets(*as_arrays(user_items), seed=0)
         assert sets.tolist() == [[0, 1, 2]]
 
     def test_deterministic(self):
         user_items = items_with_cats([[i % 3] for i in range(9)])
-        a = generate_diverse_sets(user_items, seed=42)
-        b = generate_diverse_sets(user_items, seed=42)
+        a = generate_diverse_sets(*as_arrays(user_items), seed=42)
+        b = generate_diverse_sets(*as_arrays(user_items), seed=42)
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            generate_diverse_sets([], seed=0)
+            generate_diverse_sets([], np.zeros((0, 1), bool), seed=0)
 
     @pytest.mark.parametrize("set_size", [0, -1])
     def test_set_size_below_one_rejected(self, set_size):
         # a set of no items never adds coverage, so this would never return
         with pytest.raises(ValueError, match="set_size"):
-            generate_diverse_sets([(0, frozenset({0})), (1, frozenset({1}))], set_size=set_size)
+            generate_diverse_sets(*as_arrays(items_with_cats([[0], [1]])), set_size=set_size)
 
     @pytest.mark.parametrize("decay", [0.0, 1.5, float("nan")])
     def test_decay_outside_unit_interval_rejected(self, decay):
         with pytest.raises(ValueError, match="decay"):
-            generate_diverse_sets(items_with_cats([[0], [1]]), decay=decay)
+            generate_diverse_sets(*as_arrays(items_with_cats([[0], [1]])), decay=decay)
 
 
 class TestChoiceArithmetic:
@@ -311,7 +336,8 @@ class TestMatchesReference:
             sizes_seen.add(set_size > n)
             seed = user_seed(case, 1, POSITIVE_STREAM)
             want = reference_generate_diverse_sets(user_items, decay, set_size, seed)
-            got = generate_diverse_sets(user_items, decay=decay, set_size=set_size, seed=seed)
+            items, categories = as_arrays(user_items, 6)
+            got = generate_diverse_sets(items, categories, decay, set_size, seed)
             assert len(got) == len(want), case
             for row, (got_row, want_row) in enumerate(zip(got.tolist(), want)):
                 assert got_row == want_row, (case, row)
@@ -325,7 +351,7 @@ class TestMatchesReference:
             with pytest.raises(ValueError):
                 reference_generate_diverse_sets(user_items, decay=1e-200, set_size=3)
             with pytest.raises(ValueError):
-                generate_diverse_sets(user_items, decay=1e-200, set_size=3)
+                generate_diverse_sets(*as_arrays(user_items), decay=1e-200, set_size=3)
 
 
 class TestUserStreams:
@@ -343,13 +369,14 @@ class TestUserStreams:
                     starts[first] = (seed, user, stream)
 
     def test_build_paired_sets_draws_from_the_user_streams(self):
-        catalog = {0: list(range(10)), 1: list(range(10, 20))}
-        user_items = items_with_cats([[0], [1], [0], [1], [0], [1], [0]])
+        table = category_table([[i % 2] for i in range(20)], 2)
         for user in (4, 5):
-            pairs = build_paired_sets(user, user_items, set(range(7)), catalog, 20, seed=0)
+            pairs = build_paired_sets(user, range(7), set(range(7)), table, seed=0)
             assert np.array_equal(
                 pairs.positive,
-                generate_diverse_sets(user_items, seed=user_seed(0, user, POSITIVE_STREAM)),
+                generate_diverse_sets(
+                    range(7), table[:7], seed=user_seed(0, user, POSITIVE_STREAM)
+                ),
             )
 
 
@@ -376,16 +403,13 @@ class TestPairedDiverseSets:
 
 class TestBuildPairedSets:
     def test_matched_sizes_and_coverage(self):
-        catalog = {0: list(range(10)), 1: list(range(10, 20))}
-        user_items = items_with_cats(
-            [[0]] * 3 + [[1]] * 3
-        )  # user interacted with items 0..5
+        # user interacted with items 0..5, three in each category
+        table = category_table([[0]] * 3 + [[1]] * 3 + [[i // 10] for i in range(6, 20)], 2)
         pairs = build_paired_sets(
             user=7,
-            user_items=user_items,
+            items=range(6),
             user_history=set(range(6)),
-            catalog_by_category=catalog,
-            n_items=20,
+            item_categories=table,
             seed=5,
         )
         assert pairs.user == 7
@@ -395,9 +419,8 @@ class TestBuildPairedSets:
         assert np.all(pairs.negative[:, 1:] > pairs.negative[:, :-1])
 
     def test_dump_load_round_trip(self, tmp_path):
-        catalog = {0: list(range(10))}
-        user_items = items_with_cats([[0]] * 5)
-        pairs = build_paired_sets(0, user_items, set(range(5)), catalog, 10, seed=0)
+        table = np.ones((10, 1), dtype=bool)
+        pairs = build_paired_sets(0, range(5), set(range(5)), table, seed=0)
         path = tmp_path / "sets.tsv"
         dump_paired_sets([pairs], path)
         loaded = load_paired_sets(path)
@@ -406,21 +429,125 @@ class TestBuildPairedSets:
         assert np.array_equal(loaded[0].negative, pairs.negative)
 
 
+def _shares(categories):
+    """The per-user float incidence product that `generate_diverse_sets`
+    replaced with `categories @ categories.T`: shares[i, j] is whether items
+    i and j have a category in common."""
+    columns = {}
+    rows, cols = [], []
+    for r, cats in enumerate(categories):
+        for c in cats:
+            rows.append(r)
+            cols.append(columns.setdefault(c, len(columns)))
+    incidence = np.zeros((len(categories), len(columns)))
+    incidence[rows, cols] = 1.0
+    return incidence @ incidence.T > 0
+
+
+def reference_build_paired_sets(user, user_items, user_history, item_categories, decay,
+                                set_size, seed):
+    """`build_paired_sets` on the frozenset path it replaced: `user_items` as
+    (item, category set) pairs, the decay factor from `_shares`, and each
+    negative pool the union of per-category arrays of a catalog dict.  Returns
+    the pairs and the positive and negative generators."""
+    items = np.array([i for i, _ in user_items], dtype=np.intp)
+    n = len(items)
+    positive_rng = np.random.default_rng(user_seed(seed, user, POSITIVE_STREAM))
+    factor = np.where(_shares([c for _, c in user_items]), decay, 1.0)
+    np.fill_diagonal(factor, 0.0)
+    covered, sets = set(), []
+    while len(covered) < n:
+        picks, _ = _draw_block(factor, min(set_size, n), positive_rng)
+        for row in picks.tolist():
+            sets.append(row)
+            covered.update(row)
+            if len(covered) == n:
+                break
+    positives = np.sort(items[sets], axis=1)
+
+    catalog = {}
+    for item, cats in enumerate(item_categories):
+        for c in cats:
+            catalog.setdefault(c, []).append(item)
+    negative_rng = np.random.default_rng(user_seed(seed, user, NEGATIVE_STREAM))
+    mask = unseen_mask(len(item_categories), user_history)
+    cats_of = dict(user_items)
+    pools = {c: unseen_pool(catalog, c, mask) for c in set(cats_of.values())}
+    negatives = [
+        sample_negative_set([pools[cats_of[i]] for i in pos], np.flatnonzero(mask), negative_rng)
+        for pos in positives.tolist()
+    ]
+    return PairedDiverseSets(user, positives, negatives), positive_rng, negative_rng
+
+
+def test_build_paired_sets_matches_the_frozenset_path(monkeypatch):
+    """Random catalogs of items in one to three categories, users whose items
+    leave some categories unmarked, histories that empty a category of the
+    user's items, and decay 1.0 among the decays: the pairs, and the states
+    of both generators after the draws, equal those of the frozenset path."""
+    make_rng, made = np.random.default_rng, []
+
+    def recording_rng(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    seen = dict(multi_category=0, unmarked_category=0, emptied_category=0, decay_one=0,
+                exhausted=0)
+    for case in range(200):
+        setup = make_rng([case, 3])
+        n_items, n_cats = int(setup.integers(4, 50)), int(setup.integers(1, 7))
+        item_cats = [
+            frozenset(setup.choice(n_cats, min(n_cats, setup.integers(1, 4)), replace=False).tolist())
+            for _ in range(n_items)
+        ]
+        table = category_table(item_cats, n_cats)
+        ids = setup.permutation(n_items)[: setup.integers(1, min(15, n_items // 2) + 1)].tolist()
+        user_items = [(i, item_cats[i]) for i in ids]
+        history = set(ids) | set(setup.choice(n_items, setup.integers(n_items // 2 + 1)).tolist())
+        if case % 3 == 0:
+            emptied = min(item_cats[ids[0]])
+            history |= {i for i, c in enumerate(item_cats) if emptied in c}
+        decay = 1.0 if case % 4 == 0 else float(setup.uniform(0.05, 1.0))
+        set_size = int(setup.integers(1, 7))
+        seen["multi_category"] += any(len(c) > 1 for _, c in user_items)
+        seen["unmarked_category"] += not table[ids].any(axis=0).all()
+        seen["emptied_category"] += any(
+            history >= {i for i, c in enumerate(item_cats) if c & cats} for _, cats in user_items
+        )
+        seen["decay_one"] += decay == 1.0
+        args = (case, user_items, history)
+        try:
+            want, *want_rngs = reference_build_paired_sets(*args, item_cats, decay, set_size, 7)
+        except ValueError:
+            seen["exhausted"] += 1
+            with pytest.raises(ValueError):
+                build_paired_sets(case, ids, history, table, decay, set_size, 7)
+            continue
+        made.clear()
+        got = build_paired_sets(case, ids, history, table, decay, set_size, 7)
+        assert got.user == want.user and np.array_equal(got.positive, want.positive), case
+        assert np.array_equal(got.negative, want.negative), case
+        assert [r.bit_generator.state for r in made] == [r.bit_generator.state for r in want_rngs]
+    assert min(seen.values()) > 0, seen
+
+
 def reference_sets_file(out, T, decay, set_size, seed):
     """diverse_sets.tsv as the per-pick `rng.choice` reference functions
     write it, from the filtered log of a prepared pipeline."""
     log = load_interactions(out / "filtered.csv")
     split = temporal_split(log, T)
     histories = user_histories(split)
+    item_categories = [frozenset(np.flatnonzero(row).tolist()) for row in log.item_categories]
     catalog = {}
-    for item, cats in enumerate(log.item_categories):
+    for item, cats in enumerate(item_categories):
         for c in cats:
             catalog.setdefault(c, []).append(item)
     lines = []
     for u, train in enumerate(split.train):
         if not train:
             continue
-        user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(train)]
+        user_items = [(i, item_categories[i]) for i in dict.fromkeys(train)]
         positives = reference_generate_diverse_sets(
             user_items, decay, set_size, user_seed(seed, u, POSITIVE_STREAM)
         )
@@ -562,17 +689,13 @@ def test_kernel_from_the_sets_file_equals_the_fit_in_memory(tmp_path):
     log = load_interactions(out / "filtered.csv")
     split = temporal_split(log, config.T)
     histories = user_histories(split)
-    catalog = {}
-    for item, cats in enumerate(log.item_categories):
-        for c in cats:
-            catalog.setdefault(c, []).append(item)
     draw = dict(decay=config.decay, set_size=config.set_size, seed=config.seed)
     pairs = []
     for u, tr in enumerate(split.train):
         if not tr:
             continue
-        user_items = [(i, log.item_categories[i]) for i in dict.fromkeys(tr)]
-        pairs.append(build_paired_sets(u, user_items, histories[u], catalog, log.n_items, **draw))
+        items = list(dict.fromkeys(tr))
+        pairs.append(build_paired_sets(u, items, histories[u], log.item_categories, **draw))
     assert len({p.positive.shape[1] for p in pairs}) > 1
     kernel_config = KernelTrainConfig(
         latent_dim=config.kernel_dim,

@@ -17,7 +17,6 @@ from dppseq.metrics import (
     RANK_BLOCK_USERS,
     MetricRow,
     MetricTable,
-    category_incidence,
     evaluate_ranking_fn,
     f_score,
     flat_index,
@@ -26,6 +25,7 @@ from dppseq.metrics import (
 )
 from tests.conftest import (
     category_coverage,
+    category_table,
     ndcg_at,
     one_user_metrics,
     recall_at,
@@ -43,7 +43,8 @@ def ndcg(ranked, relevant, N):
 
 
 def coverage(ranked, item_categories, n_categories, N):
-    return one_user_metrics(ranked, [ranked[0]], N, item_categories, n_categories)[2]
+    table = category_table(item_categories, n_categories)
+    return one_user_metrics(ranked, [ranked[0]], N, table)[2]
 
 
 class TestRecall:
@@ -64,7 +65,7 @@ class TestRecall:
         # a user with nothing relevant is left out, and a table of none is an error
         assert one_user_metrics([1], [], 3) is None
         with pytest.raises(ValueError):
-            evaluate_ranking_fn(np.array([[1, -1, -1]]), [[]], [frozenset()] * 2, 1, (3,))
+            evaluate_ranking_fn(np.array([[1, -1, -1]]), [[]], np.zeros((2, 1), bool), (3,))
 
 
 class TestNdcg:
@@ -96,12 +97,22 @@ class TestCategoryCoverage:
     def test_empty_list(self):
         # no ranked item leaves the user out; the -1 padding covers nothing
         cats = [frozenset({0}), frozenset({1})]
-        assert one_user_metrics([], [0], 3, cats, 4) is None
+        assert one_user_metrics([], [0], 3, category_table(cats, 4)) is None
         assert coverage([1], cats, 4, 3) == 0.25
 
     def test_full_coverage(self):
         cats = [frozenset({0}), frozenset({1})]
         assert coverage([0, 1], cats, 2, 2) == 1.0
+
+    def test_padding_covers_nothing(self):
+        # the last item has category 2 to itself, so a -1 read as an item
+        # index would cover it
+        table = category_table([{0}, {1}, {2}], 3)
+        ranked = rank_candidates(np.array([[0.9, 0.5, 0.1]]), flat_index([{1, 2}]), 3)
+        assert ranked.tolist() == [[0, -1, -1]]
+        _, values = user_metrics(ranked, [[0]], (1, 3), table)
+        assert values[2].tolist() == [[1 / 3], [1 / 3]]
+        assert evaluate_ranking_fn(ranked, [[0]], table, (3,)).rows[0].cc == 1 / 3
 
 
 class TestFScore:
@@ -203,7 +214,7 @@ class TestUserMetrics:
         ranked = np.array([[4, 1, -1], [0, 2, 3], [-1, -1, -1]])
         relevant = [[1], [9, 0, 3, 3, 7, 8], [2]]
         cats = [frozenset({i % 3}) for i in range(10)]
-        kept, values = user_metrics(ranked, relevant, (3, 1), category_incidence(cats), 3)
+        kept, values = user_metrics(ranked, relevant, (3, 1), category_table(cats, 3))
         assert kept.tolist() == [True, True, False]
         want = scalar_table([[4, 1], [0, 2, 3], []], relevant, cats, 3, (3, 1))
         assert np.array_equal(values, want)
@@ -227,14 +238,15 @@ class TestUserMetrics:
         n_categories = C + int(rng.integers(0, 2))
 
         rows = [r[r >= 0].tolist() for r in ranked]
-        kept, values = user_metrics(ranked, relevant, N_list, category_incidence(cats), n_categories)
+        table = category_table(cats, n_categories)
+        kept, values = user_metrics(ranked, relevant, N_list, table)
         assert kept.tolist() == [bool(r and rel) for r, rel in zip(rows, relevant)]
         want = scalar_table(rows, relevant, cats, n_categories, N_list)
         assert np.array_equal(values, want)
 
         if kept.any():
-            table = evaluate_ranking_fn(ranked, relevant, cats, n_categories, N_list, "x", 2)
-            for k, (N, row) in enumerate(zip(N_list, table.rows)):
+            metric_table = evaluate_ranking_fn(ranked, relevant, table, N_list, "x", 2)
+            for k, (N, row) in enumerate(zip(N_list, metric_table.rows)):
                 re, nd, cc = (float(np.mean(v)) for v in want[:, k])
                 assert row == MetricRow("x", 2, N, re, nd, cc, f_score(0.5 * (re + nd), cc))
 
@@ -242,7 +254,7 @@ class TestUserMetrics:
 class TestEvaluateRankingFn:
     def setup_method(self):
         # 6 items, 3 categories, 2 users; user 0 likes low indices
-        self.cats = [frozenset({i // 2}) for i in range(6)]
+        self.cats = category_table([{i // 2} for i in range(6)], 3)
         self.scores = np.array([[5.0, 4, 3, 2, 1, 0], [0.0, 1, 2, 3, 4, 5]])
 
     def run(self, relevant=None, exclude=None):
@@ -250,7 +262,6 @@ class TestEvaluateRankingFn:
             rank_candidates(self.scores, flat_index(exclude or [(), ()]), 2),
             relevant if relevant is not None else [[0, 1], [5]],
             item_categories=self.cats,
-            n_categories=3,
             N_list=(2,),
             loss_name="x",
             T=1,

@@ -23,6 +23,7 @@ from dppseq.scorer import (
     validation_ndcg,
 )
 from tests.conftest import (
+    category_table,
     dense_grads,
     instance_array,
     ndcg_at,
@@ -321,15 +322,15 @@ class TestBlockRanking:
         ]
         assert validation_ndcg(params, split, n_items, L) == float(np.mean(ndcgs))
 
-        cats = [frozenset({i % 3}) for i in range(n_items)]
+        cats = category_table([{i % 3} for i in range(n_items)], 3)
         users = [u for u, t in enumerate(split.test) if t]
         history = [split.train[u] + split.valid[u] for u in users]
         tops = [
             self.per_user_top(params, u, h[-L:], h, n_items, 10) for u, h in zip(users, history)
         ]
         tops = np.array([t + [-1] * (10 - len(t)) for t in tops])
-        want = evaluate_ranking_fn(tops, [split.test[u] for u in users], cats, 3, T=2)
-        got = evaluate_model(params, split, n_items, L, cats, 3)
+        want = evaluate_ranking_fn(tops, [split.test[u] for u in users], cats, T=2)
+        got = evaluate_model(params, split, n_items, L, cats)
         assert got.rows == want.rows
 
 
