@@ -220,19 +220,16 @@ def cmd_prepare(config: ExperimentConfig) -> None:
 def cmd_gen_sets(config: ExperimentConfig) -> None:
     log_, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
-    pairs = [
-        ds_mod.build_paired_sets(
-            u,
-            list(dict.fromkeys(train_items)),
-            histories[u],
-            log_.item_categories,
-            decay=config.decay,
-            set_size=config.set_size,
-            seed=config.seed,
-        )
-        for u, train_items in enumerate(split.train)
-        if train_items
-    ]
+    users = [u for u, train_items in enumerate(split.train) if train_items]
+    pairs = ds_mod.draw_paired_sets(
+        users,
+        [list(dict.fromkeys(split.train[u])) for u in users],
+        [histories[u] for u in users],
+        log_.item_categories,
+        decay=config.decay,
+        set_size=config.set_size,
+        seed=config.seed,
+    )
     ds_mod.dump_paired_sets(pairs, _out_dir(config) / "diverse_sets.tsv")
     n_sets = sum(len(p.positive) for p in pairs)
     print(f"generated {n_sets} paired diverse sets for {len(pairs)} users")

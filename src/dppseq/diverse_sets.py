@@ -7,19 +7,33 @@ favors category-diverse sets.  Each positive set is paired with a
 category-matched negative set drawn from items the user never interacted
 with.
 
-Every draw is the one `rng.choice` would make, from the same stream: a
-weighted pick is an inverse-CDF draw on one `rng.random()`, and a uniform
-pick from m candidates is one `rng.integers(0, m)`.  So the array code
-gives the sets that one `rng.choice` call per pick gave.
+Every draw is the one `rng.choice` would make from the user's own stream, so
+the sets are those of one `rng.choice` call per pick, yet `draw_paired_sets`
+makes them for all users in one array pass over blocks of users:
+
+- A positive pick is the inverse-CDF draw of `rng.choice(n, p=...)` on one
+  `rng.random()`.  Users with the same item count n draw POSITIVE_BLOCK sets
+  each as the rows of one weight array, on uniforms from their own streams.
+- A negative pick from m candidates is `rng.integers(0, m)`.  For m >= 2 that
+  is Lemire's multiply-shift on the next 32-bit half of the PCG64 raw stream,
+  low half first, which takes a further half on a rejection; m == 1 draws
+  nothing.  `_HalfStreams` reads each user's halves ahead with
+  `bit_generator.random_raw`, and leaves each generator where the scalar
+  calls leave it.  All sets of a block step in lockstep over their
+  positions, each from where its stream would be if every earlier pick had
+  taken one half; the rare sets after one that took more or fewer are drawn
+  again.
+
+`generate_diverse_sets`, `sample_negative_set` and `build_paired_sets` are the
+same code on one user or one set.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +45,14 @@ DEFAULT_DECAY = 0.5
 DEFAULT_SET_SIZE = 5
 POSITIVE_STREAM, NEGATIVE_STREAM = 0, 1
 POSITIVE_BLOCK = 8  # positive sets drawn at once; those past full coverage are dropped
+# what one block of users may hold, in 8-byte elements: its same-n decay
+# factors, or its negative pools' (pools, catalog) membership, and its
+# generators, which hold about 4 to 8 kB each
+BLOCK_ELEMENTS = 1 << 18
+GENERATOR_ELEMENTS = 1024
+READ_AHEAD = 8  # raw draws a stream reads on running out, which only rejections make it do
+PARSE_LINES = 1024  # sets-file lines parsed at once
+_NONE_TAKEN = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -48,9 +70,86 @@ class PairedDiverseSets:
         ]
         if pos.ndim != 2 or pos.shape != neg.shape:
             raise ValueError(f"unbalanced sets for user {self.user}: {pos.shape} vs {neg.shape}")
-        both = np.concatenate([pos, neg])
-        if (both[:, :1] < 0).any() or (both[:, 1:] == both[:, :-1]).any():
+        if _bad_rows(np.concatenate([pos, neg])).any():
             raise ValueError(f"user {self.user}: a set holds a negative or repeated item id")
+
+    @classmethod
+    def _checked(cls, user: int, positive: np.ndarray, negative: np.ndarray):
+        """An entry of sorted (S, k) intp arrays that were checked in bulk, as
+        `__post_init__` checks one user's."""
+        pairs = cls.__new__(cls)
+        pairs.user, pairs.positive, pairs.negative = user, positive, negative
+        return pairs
+
+
+def _bad_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a row-sorted (R, k) array hold a negative or repeated id."""
+    return (rows[:, :1] < 0).any(axis=1) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+
+
+def _check_settings(decay: float, set_size: int) -> None:
+    if not 0.0 < decay <= 1.0:
+        raise ValueError("decay must be in (0, 1]")
+    if set_size < 1:
+        raise ValueError("set_size must be >= 1")
+
+
+def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
+    """Seed of one user's POSITIVE_STREAM or NEGATIVE_STREAM draws; every
+    (seed, user, stream) gets its own, independent stream."""
+    return np.random.SeedSequence([seed, user, stream])
+
+
+def draw_paired_sets(
+    users: Sequence[int],
+    items: Sequence[Sequence[int]],
+    histories: Sequence[Iterable[int]],
+    item_categories: np.ndarray,
+    decay: float = DEFAULT_DECAY,
+    set_size: int = DEFAULT_SET_SIZE,
+    seed: int = 0,
+) -> list[PairedDiverseSets]:
+    """Positive sets plus matched negatives for each of `users`.
+
+    `items[i]` are user i's distinct training items, at least one, and
+    `histories[i]` every item it interacted with; `item_categories` is the
+    (M, C) bool item x category table of the catalog's items 0..M-1.
+    `seed` is the global seed: user u's positive and negative sets are drawn
+    from the streams `user_seed(seed, u, ...)`, so each user's sets are the
+    same whichever users are drawn with it.
+    """
+    _check_settings(decay, set_size)
+    items = [np.asarray(i, dtype=np.intp) for i in items]
+    if not all(len(i) for i in items):
+        raise ValueError("user has no items to sample from")
+
+    def streams(stream: int) -> Callable[[int], np.random.Generator]:
+        # made block by block, so that a block's generators count in its size
+        return lambda i: np.random.default_rng(user_seed(seed, users[i], stream))
+
+    picks = _positive_picks(
+        [item_categories[i] for i in items], decay, set_size, streams(POSITIVE_STREAM)
+    )
+    positives = [np.sort(i[p], axis=1) for i, p in zip(items, picks)]
+    negatives = _negative_sets(
+        items, positives, histories, item_categories, streams(NEGATIVE_STREAM)
+    )
+    return [PairedDiverseSets(u, p, n) for u, p, n in zip(users, positives, negatives)]
+
+
+def build_paired_sets(
+    user: int,
+    items: Sequence[int],
+    user_history: Iterable[int],
+    item_categories: np.ndarray,
+    decay: float = DEFAULT_DECAY,
+    set_size: int = DEFAULT_SET_SIZE,
+    seed: int = 0,
+) -> PairedDiverseSets:
+    """`draw_paired_sets` for one user."""
+    return draw_paired_sets(
+        [user], [items], [user_history], item_categories, decay, set_size, seed
+    )[0]
 
 
 def generate_diverse_sets(
@@ -65,58 +164,95 @@ def generate_diverse_sets(
 
     `items` are n distinct item ids and `categories` their (n, C) bool rows
     of the item x category table.  Weights reset to uniform at the start of
-    each set, so the sets are identically distributed.  Each pick is the
-    inverse-CDF draw that `rng.choice(n, p=weights / weights.sum())` makes
-    from one `rng.random()`.  The sets are drawn POSITIVE_BLOCK at a time, as
-    array code over a block of uniforms drawn at once: the same uniforms, in
-    the same order, as one set after another.
+    each set, so the sets are identically distributed.
     """
     if not len(items):
         raise ValueError("user has no items to sample from")
-    if not 0.0 < decay <= 1.0:
-        raise ValueError("decay must be in (0, 1]")
-    if set_size < 1:
-        raise ValueError("set_size must be >= 1")
+    _check_settings(decay, set_size)
     items = np.asarray(items, dtype=np.intp)
-    n = len(items)
-    size = min(set_size, n)
-    rng = np.random.default_rng(seed)
-    # factor[i]: what a pick of item i multiplies the weights by: 0 for
-    # item i itself, `decay` for the items sharing a category with it (a
+    picks = _positive_picks([categories], decay, set_size, lambda _: np.random.default_rng(seed))
+    return np.sort(items[picks[0]], axis=1)
+
+
+def _positive_picks(
+    categories: Sequence[np.ndarray],
+    decay: float,
+    set_size: int,
+    rng_of: Callable[[int], np.random.Generator],
+) -> list[np.ndarray]:
+    """Each user's positive sets as (S, min(set_size, n)) indices into its
+    items, in pick order, from the (n, C) category rows of its items and the
+    generator `rng_of(user)`.
+
+    Users of one item count n draw together, in blocks whose (users, n, n)
+    decay factors stay within BLOCK_ELEMENTS: a row of one (rows, n) weight
+    array sums as the 1-D weights of `rng.choice` do only at equal n."""
+    picks: list[np.ndarray] = [np.zeros((0, 0), dtype=np.intp)] * len(categories)
+    by_n: dict[int, list[int]] = {}
+    for u, c in enumerate(categories):
+        by_n.setdefault(len(c), []).append(u)
+    for n, group in by_n.items():
+        per_block = max(1, BLOCK_ELEMENTS // (n * max(n, POSITIVE_BLOCK) + GENERATOR_ELEMENTS))
+        for lo in range(0, len(group), per_block):
+            block = group[lo : lo + per_block]
+            sets = _draw_sets(
+                np.stack([categories[u] for u in block]),
+                decay,
+                min(set_size, n),
+                [rng_of(u) for u in block],
+            )
+            for u, s in zip(block, sets):
+                picks[u] = s
+    return picks
+
+
+def _draw_sets(
+    categories: np.ndarray, decay: float, size: int, rngs: Sequence[np.random.Generator]
+) -> list[np.ndarray]:
+    """`_positive_picks` for G users of n items each, from their (G, n, C)
+    category rows: rounds of POSITIVE_BLOCK sets per user, one set a row of
+    one weight array, until each user's sets cover its items; the sets past
+    the one that covers them are dropped."""
+    G, n, _ = categories.shape
+    rows = categories.astype(np.float32)  # a float product runs on BLAS; counts stay exact
+    # factor[g, i]: what a pick of item i multiplies user g's weights by: 0
+    # for item i itself, `decay` for the items sharing a category with it (a
     # weight already 0 stays 0) and 1 for the rest
-    factor = np.where(categories @ categories.T, decay, 1.0)
-    np.fill_diagonal(factor, 0.0)
-
-    covered, sets, drawn = set(), [], []
-    while len(covered) < n:
-        picks, ok = _draw_block(factor, size, rng)
-        drawn += ok.tolist()
-        for row in picks.tolist():
-            sets.append(row)
-            covered.update(row)
-            if len(covered) == n:
-                break
-    if not all(drawn[: len(sets)]):
-        raise ValueError("decayed weights underflowed to zero; raise decay")
-    return np.sort(items[sets], axis=1)
-
-
-def _draw_block(
-    factor: np.ndarray, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """POSITIVE_BLOCK sets of `size` picks each, as (POSITIVE_BLOCK, size)
-    indices into the items, and whether each set's weights stayed positive."""
-    uniforms = rng.random((POSITIVE_BLOCK, size, 1))
-    weights = np.ones((POSITIVE_BLOCK, len(factor)))
-    cdf = np.empty_like(weights)
-    picks = np.empty((POSITIVE_BLOCK, size), dtype=np.intp)
-    for k in range(size):
-        total = _choice_cdf(weights, cdf)
-        picks[:, k] = pick = _choice_pick(cdf, uniforms[:, k])
-        weights *= factor[pick]
-    # weights only fall, so a row whose total was ever 0 (rng.choice's NaN
-    # probabilities) still has total 0 at its last pick
-    return picks, total[:, 0] > 0
+    factor = np.where(rows @ rows.transpose(0, 2, 1) > 0, decay, 1.0)
+    factor[:, np.arange(n), np.arange(n)] = 0.0
+    covered = np.zeros((G, n), dtype=bool)
+    sets: list[list[np.ndarray]] = [[] for _ in range(G)]
+    active = np.arange(G)
+    while len(active):
+        uniforms = np.concatenate(
+            [rngs[g].random((POSITIVE_BLOCK, size, 1)) for g in active.tolist()]
+        )
+        owner = np.repeat(active, POSITIVE_BLOCK)  # one set a row
+        weights = np.ones((len(owner), n))
+        cdf = np.empty_like(weights)
+        picks = np.empty((len(owner), size), dtype=np.intp)
+        for k in range(size):
+            total = _choice_cdf(weights, cdf)
+            picks[:, k] = pick = _choice_pick(cdf, uniforms[:, k])
+            weights *= factor[owner, pick]
+        # weights only fall, so a set whose total was ever 0 (rng.choice's NaN
+        # probabilities) still has total 0 at its last pick
+        ok = total[:, 0] > 0
+        picks = picks.reshape(len(active), POSITIVE_BLOCK, size)
+        hit = np.zeros((len(active), POSITIVE_BLOCK, n), dtype=bool)
+        np.put_along_axis(hit, picks, True, axis=2)
+        seen = np.logical_or.accumulate(hit, axis=1) | covered[active, None]
+        full = seen.all(axis=2)
+        done = full.any(axis=1)
+        keep = np.where(done, full.argmax(axis=1) + 1, POSITIVE_BLOCK)
+        kept = np.arange(POSITIVE_BLOCK) < keep[:, None]
+        if (kept & ~ok.reshape(kept.shape)).any():
+            raise ValueError("decayed weights underflowed to zero; raise decay")
+        for a, g in enumerate(active.tolist()):
+            sets[g].append(picks[a, : keep[a]])
+        covered[active] = seen[:, -1]
+        active = active[~done]
+    return [np.concatenate(s) for s in sets]
 
 
 def _choice_cdf(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -152,84 +288,255 @@ def sample_negative_set(
     remainder.  Falls back to a uniform draw over `unseen`, the sorted items
     outside the history, when nothing remains.
     """
-    chosen: list[int] = []
-    for pool in pools:
-        pick = _draw_unchosen(pool, chosen, rng)
-        if pick is None:
-            log.debug("category-matched pool empty; falling back to uniform unseen draw")
-            pick = _draw_unchosen(unseen, chosen, rng)
-            if pick is None:
-                raise ValueError("catalog exhausted while sampling a negative set")
-        chosen.append(pick)
-    return sorted(chosen)
-
-
-def _draw_unchosen(
-    pool: Sequence[int], chosen: Sequence[int], rng: np.random.Generator
-) -> int | None:
-    """A uniform draw from the sorted `pool` less `chosen`, or None when
-    nothing remains: `j = rng.integers(0, m)` over the m remaining items,
-    which is `rng.choice(remaining)`, mapped past the chosen positions."""
-    taken = []
-    for item in chosen:
-        at = bisect_left(pool, item)
-        if at < len(pool) and pool[at] == item:
-            taken.append(at)
-    m = len(pool) - len(taken)
-    if not m:
-        return None
-    j = int(rng.integers(0, m))
-    for at in sorted(taken):
-        if at > j:
-            break
-        j += 1
-    return int(pool[j])
-
-
-def user_seed(seed: int, user: int, stream: int) -> np.random.SeedSequence:
-    """Seed of one user's POSITIVE_STREAM or NEGATIVE_STREAM draws; every
-    (seed, user, stream) gets its own, independent stream."""
-    return np.random.SeedSequence([seed, user, stream])
-
-
-def build_paired_sets(
-    user: int,
-    items: Sequence[int],
-    user_history: Iterable[int],
-    item_categories: np.ndarray,
-    decay: float = DEFAULT_DECAY,
-    set_size: int = DEFAULT_SET_SIZE,
-    seed: int = 0,
-) -> PairedDiverseSets:
-    """Positive sets plus matched negatives for one user.
-
-    `seed` is the global seed: the positive and the negative sets are drawn
-    from the streams `user_seed(seed, user, ...)`, so generation is
-    deterministic regardless of user processing order.
-    `items` are the user's distinct training items and `item_categories`
-    the (M, C) bool item x category table of the catalog's items 0..M-1.
-    Each distinct category row of the user's items gets its candidate pool
-    once: the unseen items that share a column with it.
-    """
-    items = np.asarray(items, dtype=np.intp)
-    categories = item_categories[items]
-    positives = generate_diverse_sets(
-        items, categories, decay, set_size, seed=user_seed(seed, user, POSITIVE_STREAM)
+    pools = [np.asarray(p, dtype=np.intp) for p in pools]
+    unseen = np.asarray(unseen, dtype=np.intp)
+    n_items = 1 + max((int(p.max()) for p in [*pools, unseen] if len(p)), default=0)
+    keys = np.concatenate([np.zeros(0, np.intp), *(k * n_items + p for k, p in enumerate(pools))])
+    counts, sizes = np.array([1]), np.array([len(pools)])  # one user, one set
+    chosen = _negative_picks(
+        keys, n_items, np.arange(len(pools)), counts, sizes, [rng], lambda user: unseen
     )
-    rng = np.random.default_rng(user_seed(seed, user, NEGATIVE_STREAM))
-    unseen_mask = np.ones(len(item_categories), dtype=bool)
-    unseen_mask[list(user_history)] = False
-    unseen = np.flatnonzero(unseen_mask)
-    pool_of, pools = {}, {}  # pools: one per distinct category row, keyed by its bytes
-    for item, row in zip(items.tolist(), categories):
-        key = row.tobytes()
-        if key not in pools:
-            pools[key] = np.flatnonzero(unseen_mask & item_categories[:, row].any(axis=1)).tolist()
-        pool_of[item] = pools[key]
-    negatives = [
-        sample_negative_set([pool_of[i] for i in pos], unseen, rng) for pos in positives.tolist()
-    ]
-    return PairedDiverseSets(user, positives, negatives)
+    return sorted(chosen.tolist())
+
+
+def _negative_sets(
+    items: Sequence[np.ndarray],
+    positives: Sequence[np.ndarray],
+    histories: Sequence[Iterable[int]],
+    item_categories: np.ndarray,
+    rng_of: Callable[[int], np.random.Generator],
+) -> list[np.ndarray]:
+    """Each user's negative sets, (S, k) like its positive sets and row i
+    matched to row i, drawn from `rng_of(user)` as `sample_negative_set`
+    draws them.
+
+    A pool is kept for each distinct category row of a user's items.  Users
+    go through in blocks whose pools' membership of the catalog, one
+    (pools, M) array, stays within BLOCK_ELEMENTS."""
+    n_items = len(item_categories)
+    rows, row_of = np.unique(item_categories, axis=0, return_inverse=True)
+    row_of = row_of.reshape(-1)
+    rows, table = rows.astype(np.float32), item_categories.astype(np.float32)
+    pairs = np.concatenate([[0], *(u * len(rows) + row_of[i] for u, i in enumerate(items))])
+    n_pools = np.bincount(np.unique(pairs[1:]) // len(rows), minlength=len(items))
+    n_picks = np.array([p.size for p in positives], dtype=np.intp)
+    cost = np.cumsum((n_pools + 1) * n_items + 2 * n_picks + GENERATOR_ELEMENTS)
+    negatives = []
+    lo = 0
+    while lo < len(items):
+        below = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cost, below + BLOCK_ELEMENTS, side="right")))
+        users = range(lo, hi)
+        picks = np.concatenate([positives[u].ravel() for u in users])
+        owner = np.repeat(np.arange(len(users)), n_picks[lo:hi])
+        pools, pick_pool = np.unique(owner * len(rows) + row_of[picks], return_inverse=True)
+        pool_user, pool_row = np.divmod(pools, len(rows))
+        history = [np.fromiter(histories[u], dtype=np.intp) for u in users]
+        unseen = np.ones((len(users), n_items), dtype=bool)
+        seen_by = np.repeat(np.arange(len(users)), [len(h) for h in history])
+        unseen[seen_by, np.concatenate(history)] = False
+        member = rows[pool_row] @ table.T > 0
+        member &= unseen[pool_user]
+        chosen = _negative_picks(
+            np.flatnonzero(member),  # pool * M + item, ascending: each pool's items, sorted
+            n_items,
+            pick_pool.reshape(-1),
+            np.array([len(positives[u]) for u in users]),
+            np.array([positives[u].shape[1] for u in users]),
+            [rng_of(u) for u in users],
+            lambda user: np.flatnonzero(unseen[user]),
+        )
+        ends = np.cumsum(n_picks[lo:hi])[:-1]
+        negatives += [c.reshape(positives[u].shape) for u, c in zip(users, np.split(chosen, ends))]
+        lo = hi
+    return negatives
+
+
+def _negative_picks(
+    keys: np.ndarray,
+    n_items: int,
+    pick_pool: np.ndarray,
+    counts: np.ndarray,
+    sizes: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    unseen_of: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """The matched negative of every positive pick of a block of users.
+
+    User b's picks come next in `pick_pool`: `counts[b]` sets of `sizes[b]`
+    picks back to back, drawn from `rngs[b]`.  A pick draws from its pool,
+    whose items are the ascending `keys` pool * n_items + item, less the items
+    its set has chosen; from `unseen_of(b)` less those, when nothing remains.
+
+    The sets step in lockstep over their positions.  Each set starts where
+    its user's stream would be if every earlier pick had taken one half, as
+    each pick does unless its pool is down to one item or a half is
+    rejected.  A set that took more or fewer halves ends the sets of its
+    user drawn for good; the sets after it are drawn again from where it
+    ended, twice as many at a time as were drawn for good, until none is
+    left.
+    """
+    n_pools = int(pick_pool.max(initial=-1)) + 1
+    start = np.searchsorted(keys, np.arange(n_pools + 1) * n_items)
+    keys = np.append(keys, n_pools * n_items)  # no lookup runs past the end
+    owner = np.repeat(np.arange(len(rngs)), counts)  # the user of each set
+    size = sizes[owner]
+    first = np.cumsum(size) - size  # each set's first pick
+    last = np.cumsum(counts)  # past each user's last set
+    settled = last - counts  # each user's first set not drawn for good
+    settled_at = np.zeros(len(rngs), dtype=np.intp)  # and the half it starts from
+    window = counts.copy()  # and how many sets to draw from there
+    took = size.copy()  # halves each set takes: one a pick, until drawn
+    end = np.zeros(len(owner), dtype=np.intp)  # the half after each set's last
+    chosen = np.zeros(int(size.sum()), dtype=np.intp)
+    unseen_of_user: dict[int, np.ndarray] = {}
+    streams = _HalfStreams(rngs, counts * sizes)
+    try:
+        while len(users := np.flatnonzero(settled < last)):
+            span = np.minimum(window[users], last[users] - settled[users])
+            head = np.cumsum(span) - span
+            sets = np.repeat(settled[users] - head, span) + np.arange(span.sum())
+            user = owner[sets]
+            # each set's first half, if the sets before it take what they took last
+            begin = np.cumsum(took[sets]) - took[sets]
+            begin += np.repeat(settled_at[users] - begin[head], span)
+            at = begin.copy()
+            for q in range(int(size[sets].max())):
+                live = np.flatnonzero(size[sets] > q)
+                pick = first[sets[live]] + q
+                pool = pick_pool[pick]
+                lo = start[pool]
+                m = start[pool + 1] - lo
+                # the set's earlier picks, and where in this pool those it holds are
+                before = chosen[pick[:, None] - q + np.arange(q)]
+                wanted = pool[:, None] * n_items + before
+                found = keys.searchsorted(wanted)
+                taken = keys[found] == wanted
+                m -= taken.sum(axis=1)
+                taken = np.sort(np.where(taken, found - lo[:, None], _NONE_TAKEN), axis=1)
+                fallback = {}
+                for i in np.flatnonzero(m == 0).tolist():
+                    log.debug("category-matched pool empty; falling back to uniform unseen draw")
+                    b = int(user[live[i]])
+                    if b not in unseen_of_user:
+                        unseen_of_user[b] = unseen_of(b)
+                    unseen = unseen_of_user[b]
+                    found = unseen.searchsorted(before[i])
+                    held = found < len(unseen)
+                    found = np.sort(found[held][unseen[found[held]] == before[i][held]])
+                    m[i] = len(unseen) - len(found)
+                    if not m[i]:
+                        raise ValueError("catalog exhausted while sampling a negative set")
+                    fallback[i] = unseen, found
+                    taken[i] = _NONE_TAKEN
+                j, at[live] = streams.integers(user[live], at[live], m)
+                for c in range(q):  # skip past the chosen items, in pool order
+                    j += taken[:, c] <= j
+                item = keys[np.minimum(lo + j, len(keys) - 1)] - pool * n_items
+                for i, (unseen, found) in fallback.items():
+                    for c in found.tolist():
+                        j[i] += c <= j[i]
+                    item[i] = unseen[j[i]]
+                chosen[pick] = item
+            end[sets], took[sets] = at, at - begin
+            # a user's sets are drawn for good up to the first that did not
+            # start where the one before it ended; its next window is twice that
+            moved = np.r_[False, begin[1:] != at[:-1]]
+            moved[head] = False
+            moved = np.cumsum(moved)
+            good = np.bincount(user[moved == np.repeat(moved[head], span)], minlength=len(rngs))
+            settled += good
+            settled_at = np.where(good > 0, end[settled - 1], settled_at)
+            window = 2 * good
+    finally:
+        streams.close(end[last - 1])
+    return chosen
+
+
+class _HalfStreams:
+    """Each user's generator as the 32-bit halves that scalar
+    `rng.integers(0, m)` calls read from it, the first at position 0.
+
+    For 2 <= m <= 2**32, `rng.integers(0, m)` takes the next half x and
+    returns x * m >> 32, unless the low 32 bits of x * m fall below
+    (2**32 - m) % m, when it takes another half instead (Lemire's method).
+    m == 1 takes nothing.  PCG64 serves the low half of each raw draw first
+    and keeps the high half in its state (`has_uint32`, `uinteger`) for the
+    next call.  The halves are read ahead with `bit_generator.random_raw`,
+    `picks[b]` of them for user b, and more when a draw needs them; `close`
+    puts each generator where the calls that used them would have left it."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator], picks: np.ndarray):
+        self.generators = [r.bit_generator for r in rngs]
+        self.states = [g.state for g in self.generators]
+        self.buffered = np.array([s["has_uint32"] for s in self.states], dtype=np.intp)
+        self.drawn = (np.asarray(picks, dtype=np.intp) + 1) // 2
+        # user b's halves are halves[base[b] : base[b] + held[b]]
+        self.held = self.buffered + 2 * self.drawn
+        self.base = np.cumsum(self.held) - self.held
+        self.halves = np.zeros(int(self.held.sum()), dtype=np.uint64)
+        for b in np.flatnonzero(self.buffered).tolist():
+            self.halves[self.base[b]] = self.states[b]["uinteger"]
+        raws = [g.random_raw(n) for g, n in zip(self.generators, self.drawn.tolist())]
+        user = np.repeat(np.arange(len(rngs)), 2 * self.drawn)
+        column = np.arange(len(user)) - (np.cumsum(2 * self.drawn) - 2 * self.drawn)[user]
+        self.halves[self.base[user] + self.buffered[user] + column] = _halves(
+            np.concatenate([np.zeros(0, np.uint64), *raws])
+        )
+
+    def integers(
+        self, users: np.ndarray, at: np.ndarray, m: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`rng.integers(0, m[i])` on the stream of `users[i]` from its half
+        `at[i]`, and the position after the last half each draw took."""
+        at = at.copy()
+        m = m.astype(np.uint64)
+        j = np.zeros(len(m), dtype=np.uint64)
+        lanes = np.flatnonzero(m > 1)
+        limit = (2**32 - m[lanes]) % m[lanes]
+        while len(lanes):
+            self._read_ahead(users[lanes], at[lanes])
+            x = self.halves[self.base[users[lanes]] + at[lanes]] * m[lanes]
+            at[lanes] += 1
+            j[lanes] = x >> 32
+            again = (x & 0xFFFFFFFF) < limit
+            lanes, limit = lanes[again], limit[again]
+        return j.astype(np.intp), at
+
+    def _read_ahead(self, users: np.ndarray, at: np.ndarray) -> None:
+        """Read READ_AHEAD more raw draws for each user whose half `at` is
+        not held yet, moving its halves to the end."""
+        while (short := at >= self.held[users]).any():
+            for b in np.unique(users[short]).tolist():
+                held = self.halves[self.base[b] : self.base[b] + self.held[b]]
+                more = _halves(self.generators[b].random_raw(READ_AHEAD))
+                self.base[b] = len(self.halves)
+                self.halves = np.concatenate([self.halves, held, more])
+                self.drawn[b] += READ_AHEAD
+                self.held[b] += len(more)
+
+    def close(self, used: np.ndarray) -> None:
+        """Leave each generator as if the first `used[b]` halves of user b
+        were read by scalar calls and no more."""
+        for b, (g, s) in enumerate(zip(self.generators, self.states)):
+            raw_used = int(used[b] - self.buffered[b])  # halves used of the raw draws
+            raws = (max(raw_used, 0) + 1) // 2
+            g.advance(raws - int(self.drawn[b]))  # back over the draws read but not used
+            state = g.state
+            if raw_used > 0:
+                state["has_uint32"] = raw_used % 2
+                last = self.base[b] + self.buffered[b] + 2 * raws - 1
+                state["uinteger"] = int(self.halves[last])
+            else:
+                state["has_uint32"] = int(self.buffered[b] - used[b])
+                state["uinteger"] = s["uinteger"]
+            g.state = state
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw 64-bit draws in the order PCG64 serves them,
+    low half first."""
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
 
 
 def dump_paired_sets(pairs: Iterable[PairedDiverseSets], path) -> None:
@@ -245,7 +552,9 @@ def dump_paired_sets(pairs: Iterable[PairedDiverseSets], path) -> None:
 def load_paired_sets(path) -> list[PairedDiverseSets]:
     """The `dump_paired_sets` file, one entry per user in user order, a user's
     sets in file order.  Raises ValueError on a malformed line, on a user whose
-    rows differ in width, and in PairedDiverseSets."""
+    rows differ in width, and where PairedDiverseSets would.
+
+    The rows of each width are parsed, sorted and checked at once."""
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
     if not lines:
         return []
@@ -253,12 +562,51 @@ def load_paired_sets(path) -> list[PairedDiverseSets]:
     users, signs, ids = fields[0::4], fields[1::4], fields[2::4]
     if len(fields) != 4 * len(lines) - 1 or set(fields[3::4]) - {"\n"} or set(signs) - {"+", "-"}:
         raise ValueError(f"{path}: a line is not user<TAB>+|-<TAB>item ids")
-    positive = np.array(signs) == "+"
     users = parse_int_rows(users, 1, path)[:, 0]
-    order = np.argsort(users, kind="stable")
+    negative = np.array(signs) == "-"
+    widths = np.array([s.count(",") for s in ids]) + 1
+    # by user, each user's positive rows then its negative rows, in file order
+    order = np.lexsort((negative, users))
+    users, negative, widths = users[order], negative[order], widths[order]
+    starts = np.flatnonzero(np.diff(users, prepend=users[0] - 1))
+    ends = np.append(starts[1:], len(users))
+    widest, narrowest = np.maximum.reduceat(widths, starts), np.minimum.reduceat(widths, starts)
+    mixed = np.flatnonzero(widest > narrowest)
+    if len(mixed):
+        raise ValueError(f"{path}: user {users[starts[mixed[0]]]}: rows differ in width")
+    n_negative = np.add.reduceat(negative, starts)
+    unbalanced = np.flatnonzero(2 * n_negative != ends - starts)
+    if len(unbalanced):
+        raise ValueError(f"unbalanced sets for user {users[starts[unbalanced[0]]]}")
     pairs = []
-    for rows in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
-        user, width = int(users[rows[0]]), ids[rows[0]].count(",") + 1
-        sets = parse_int_rows([ids[i] for i in rows.tolist()], width, f"{path}: user {user}")
-        pairs.append(PairedDiverseSets(user, sets[positive[rows]], sets[~positive[rows]]))
-    return pairs
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        sets = _parse_sets([ids[i] for i in order[rows].tolist()], width, users[rows], path)
+        sets.sort(axis=1)
+        bad = np.flatnonzero(_bad_rows(sets))
+        if len(bad):
+            user = users[rows[bad[0]]]
+            raise ValueError(f"user {user}: a set holds a negative or repeated item id")
+        heads = np.searchsorted(rows, starts[np.isin(starts, rows)])
+        for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(rows)]):
+            user, half = int(users[rows[a]]), (a + b) // 2
+            pairs.append(PairedDiverseSets._checked(user, sets[a:half], sets[half:b]))
+    return sorted(pairs, key=lambda p: p.user)
+
+
+def _parse_sets(lines: list[str], width: int, users: np.ndarray, path) -> np.ndarray:
+    """`parse_int_rows` of one width's lines, PARSE_LINES at a time, so that
+    only so many lines are split into strings at once; on a malformed line,
+    the error names its user."""
+    try:
+        return np.concatenate(
+            [np.zeros((0, width), dtype=np.intp)]
+            + [
+                parse_int_rows(lines[i : i + PARSE_LINES], width, path)
+                for i in range(0, len(lines), PARSE_LINES)
+            ]
+        )
+    except ValueError:
+        for line, user in zip(lines, users.tolist()):
+            parse_int_rows([line], width, f"{path}: user {user}")
+        raise

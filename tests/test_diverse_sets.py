@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dppseq.cli import load_config
 from dppseq.cli import main as cli_main
 from dppseq.data import load_interactions, temporal_split, user_histories, write_interactions
+from dppseq import diverse_sets
 from dppseq.diverse_sets import (
     NEGATIVE_STREAM,
     POSITIVE_BLOCK,
@@ -20,9 +21,9 @@ from dppseq.diverse_sets import (
     generate_diverse_sets,
     load_paired_sets,
     sample_negative_set,
+    _HalfStreams,
     _choice_cdf,
     _choice_pick,
-    _draw_block,
     user_seed,
 )
 from dppseq.kernel_learning import (
@@ -353,6 +354,48 @@ class TestMatchesReference:
             with pytest.raises(ValueError):
                 generate_diverse_sets(*as_arrays(user_items), decay=1e-200, set_size=3)
 
+    def test_thousand_item_user_equals_one_choice_per_pick(self):
+        """1,000 items in 50 categories, one to three each: the decay pattern
+        comes from a float product on BLAS, and the sets equal those of one
+        `rng.choice(n, p=...)` per pick."""
+        setup = np.random.default_rng(5)
+        user_items = [
+            (int(i), frozenset(setup.choice(50, setup.integers(1, 4), replace=False).tolist()))
+            for i in setup.permutation(3000)[:1000]
+        ]
+        seed = user_seed(5, 9, POSITIVE_STREAM)
+        want = reference_generate_diverse_sets(user_items, 0.5, 5, seed)
+        got = generate_diverse_sets(*as_arrays(user_items, 50), 0.5, 5, seed)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1])
+def test_half_streams_draw_as_scalar_integers(m):
+    """`_HalfStreams` against scalar `rng.integers(0, m)` calls on twin
+    generators, one of which starts with a buffered half: the same draws, and
+    the same generator states after them.  If numpy ever changes its bounded
+    integer draw, this fails instead of the negative sets drifting silently."""
+    n_draws = 200
+    rngs = [np.random.default_rng([m % 997, lane]) for lane in range(3)]
+    twins = [np.random.default_rng([m % 997, lane]) for lane in range(3)]
+    for rng in (rngs[1], twins[1]):
+        rng.integers(0, 5)  # leaves the high half of a raw draw buffered
+    want = [[int(t.integers(0, m)) for _ in range(n_draws)] for t in twins]
+    streams = _HalfStreams(rngs, np.full(3, n_draws))
+    users, at, got = np.arange(3), np.zeros(3, dtype=np.intp), []
+    for _ in range(n_draws):
+        j, at = streams.integers(users, at, np.full(3, m))
+        got.append(j.tolist())
+    streams.close(at)
+    assert np.array(got).T.tolist() == want
+    assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+    if m == 1:
+        assert (at == 0).all()
+    elif m == 2**31 + 1:
+        assert (at > 1.3 * n_draws).all(), at  # about half the draws reject
+    else:
+        assert (at == n_draws).all(), at
+
 
 class TestUserStreams:
     def test_no_two_streams_start_alike(self):
@@ -444,6 +487,21 @@ def _shares(categories):
     return incidence @ incidence.T > 0
 
 
+def reference_draw_block(factor, size, rng):
+    """One user's POSITIVE_BLOCK sets of `size` picks on the (n, n) decay
+    `factor`, as the one-user array code drew them before the users of one
+    item count were drawn together: (POSITIVE_BLOCK, size) indices."""
+    uniforms = rng.random((POSITIVE_BLOCK, size, 1))
+    weights = np.ones((POSITIVE_BLOCK, len(factor)))
+    cdf = np.empty_like(weights)
+    picks = np.empty((POSITIVE_BLOCK, size), dtype=np.intp)
+    for k in range(size):
+        _choice_cdf(weights, cdf)
+        picks[:, k] = pick = _choice_pick(cdf, uniforms[:, k])
+        weights *= factor[pick]
+    return picks
+
+
 def reference_build_paired_sets(user, user_items, user_history, item_categories, decay,
                                 set_size, seed):
     """`build_paired_sets` on the frozenset path it replaced: `user_items` as
@@ -457,7 +515,7 @@ def reference_build_paired_sets(user, user_items, user_history, item_categories,
     np.fill_diagonal(factor, 0.0)
     covered, sets = set(), []
     while len(covered) < n:
-        picks, _ = _draw_block(factor, min(set_size, n), positive_rng)
+        picks = reference_draw_block(factor, min(set_size, n), positive_rng)
         for row in picks.tolist():
             sets.append(row)
             covered.update(row)
@@ -582,6 +640,73 @@ def test_gen_sets_matches_the_choice_reference(tmp_path, decay, set_size):
     assert (out / "diverse_sets.tsv").read_bytes() == want
 
 
+def write_multi_user_log(path):
+    """2,000 items in 50 categories, every seventh item in a second one.
+    User "heavy" has 1,052 train items, user "fallback" every item of
+    category c0, user "narrow" every item of category c1 but one, and 100
+    more users of 3 to 30 items, 60 of them of 8."""
+    setup = np.random.default_rng(11)
+    cats = [f"c{i % 50}" + (f";c{i // 7 % 50}" if i % 7 == 0 else "") for i in range(2000)]
+    users = {"heavy": setup.permutation(2000)[:1170]}
+    users["fallback"] = [i for i, c in enumerate(cats) if "c0" in c.split(";")]
+    users["narrow"] = [i for i, c in enumerate(cats) if "c1" in c.split(";")][1:]
+    for u in range(100):
+        n = 8 if u < 60 else int(setup.integers(3, 31))
+        users[f"u{u}"] = setup.permutation(2000)[:n]
+    rows = [
+        f"{user},i{item},{t},{cats[item]}\n"
+        for user, items in users.items()
+        for t, item in enumerate(items)
+    ]
+    path.write_text("user_id,item_id,timestamp,categories\n" + "".join(rows))
+
+
+def test_gen_sets_draws_many_users_at_once_as_the_reference(tmp_path, monkeypatch, caplog):
+    """Users of many item counts, one of over 1,000 train items, one whose
+    category pool is empty so that it falls back to unseen draws, one whose
+    pool is down to one item so that its later sets are drawn again, and a
+    block size small enough that the users take several blocks, of the
+    negative draws and of the positive draws at one item count: `gen-sets`
+    writes the bytes of the per-pick `rng.choice` reference."""
+    monkeypatch.setattr(diverse_sets, "BLOCK_ELEMENTS", 1 << 15)
+    blocks = {"negative": 0, "positive": [], "draws": 0}
+    draw_sets, negative_picks = diverse_sets._draw_sets, diverse_sets._negative_picks
+    integers = diverse_sets._HalfStreams.integers
+
+    def counted_integers(self, *args):
+        blocks["draws"] += 1
+        return integers(self, *args)
+
+    def counted_draw_sets(categories, *args):
+        blocks["positive"].append(categories.shape[1])
+        return draw_sets(categories, *args)
+
+    def counted_negative_picks(*args):
+        blocks["negative"] += 1
+        return negative_picks(*args)
+
+    monkeypatch.setattr(diverse_sets, "_draw_sets", counted_draw_sets)
+    monkeypatch.setattr(diverse_sets, "_negative_picks", counted_negative_picks)
+    monkeypatch.setattr(diverse_sets._HalfStreams, "integers", counted_integers)
+    dataset = tmp_path / "interactions.csv"
+    write_multi_user_log(dataset)
+    out = tmp_path / "out"
+    config = tmp_path / "config.txt"
+    config.write_text(f"dataset={dataset}\nout={out}\nT=1\nk_core=1\nlosses=ce\nseed=8\n")
+    assert cli_main(["--config", str(config), "prepare"]) == 0
+    with caplog.at_level("DEBUG", logger="dppseq.diverse_sets"):
+        assert cli_main(["--config", str(config), "gen-sets"]) == 0
+    assert "falling back to uniform unseen draw" in caplog.text
+    split = temporal_split(load_interactions(out / "filtered.csv"), 1)
+    counts = [len(set(train)) for train in split.train]
+    assert max(counts) >= 1000 and len(set(counts)) >= 10
+    assert blocks["negative"] > 10
+    assert blocks["draws"] > 5 * blocks["negative"]  # a block drew some sets again
+    assert max(blocks["positive"].count(n) for n in blocks["positive"]) > 1
+    want = reference_sets_file(out, 1, 0.5, 5, seed=8)
+    assert (out / "diverse_sets.tsv").read_bytes() == want
+
+
 def frozenset_load_paired_sets(path):
     """The sets-file reader that `load_paired_sets` replaced: one frozenset
     per line, as (user, positives, negatives) in user order."""
@@ -661,6 +786,27 @@ def test_sets_file_matches_the_frozenset_path(sets_dir, lines):
     dump_paired_sets(pairs, sets_dir / "new.tsv")
     fstring_dump_paired_sets(old, sets_dir / "old.tsv")
     assert (sets_dir / "new.tsv").read_bytes() == (sets_dir / "old.tsv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_lines",
+    [
+        ["7\t+\t1,2", "7\t-\t3,3"],  # repeated id
+        ["7\t+\t1,2", "7\t-\t3,-4"],  # negative id
+        ["7\t+\t1,2", "7\t-\t3,x"],  # not an integer
+        ["7\t+\t1,2", "7\t-\t3," + "9" * 20],  # overflows
+        ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6"],  # unbalanced
+        ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6,8", "7\t-\t9,10,11"],  # two widths
+    ],
+)
+def test_malformed_sets_file_names_the_user(tmp_path, bad_lines):
+    """Every row is parsed and checked at once, and the error still names
+    the user of the malformed line, among users that are well formed."""
+    good = ["2\t+\t1,2", "2\t-\t3,4", "9\t+\t1,2,3", "9\t-\t4,5,6"]
+    path = tmp_path / "sets.tsv"
+    path.write_text("\n".join(good[:2] + bad_lines + good[2:]) + "\n")
+    with pytest.raises(ValueError, match="user 7"):
+        load_paired_sets(path)
 
 
 def test_kernel_from_the_sets_file_equals_the_fit_in_memory(tmp_path):
