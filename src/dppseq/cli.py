@@ -37,7 +37,7 @@ EXIT_NUMERICAL = 4
 
 # the lowest value of each integer setting; L = 0 and Z = 0 derive them from T
 _LOWEST = dict(T=1, L=0, Z=0, k_core=1, kernel_dim=1, kernel_epochs=1, set_size=1, scorer_dim=1,
-               batch_size=1, max_epochs=1, patience=1)
+               batch_size=1, max_epochs=1, patience=1, seed=0)
 
 
 @dataclass

@@ -7,22 +7,15 @@ favors category-diverse sets.  Each positive set is paired with a
 category-matched negative set drawn from items the user never interacted
 with.
 
-Every draw is the one `rng.choice` would make from the user's own stream, so
-the sets are those of one `rng.choice` call per pick, yet `draw_paired_sets`
-makes them for all users in one array pass over blocks of users:
+`draw_paired_sets` makes the sets of all users in one array pass over blocks
+of users, each user drawing from its own streams:
 
 - A positive pick is the inverse-CDF draw of `rng.choice(n, p=...)` on one
   `rng.random()`.  Users with the same item count n draw POSITIVE_BLOCK sets
   each as the rows of one weight array, on uniforms from their own streams.
-- A negative pick from m candidates is `rng.integers(0, m)`.  For m >= 2 that
-  is Lemire's multiply-shift on the next 32-bit half of the PCG64 raw stream,
-  low half first, which takes a further half on a rejection; m == 1 draws
-  nothing.  `_HalfStreams` reads each user's halves ahead with
-  `bit_generator.random_raw`, and leaves each generator where the scalar
-  calls leave it.  All sets of a block step in lockstep over their
-  positions, each from where its stream would be if every earlier pick had
-  taken one half; the rare sets after one that took more or fewer are drawn
-  again.
+- A negative pick from m candidates takes the candidate at int(u * m) for the
+  next uniform u of its user's stream, one uniform a pick.  All sets of a
+  block step together over their positions.
 
 `generate_diverse_sets`, `sample_negative_set` and `build_paired_sets` are the
 same code on one user or one set.
@@ -50,7 +43,6 @@ POSITIVE_BLOCK = 8  # positive sets drawn at once; those past full coverage are 
 # generators, which hold about 4 to 8 kB each
 BLOCK_ELEMENTS = 1 << 18
 GENERATOR_ELEMENTS = 1024
-READ_AHEAD = 8  # raw draws a stream reads on running out, which only rejections make it do
 PARSE_LINES = 1024  # sets-file lines parsed at once
 _NONE_TAKEN = np.iinfo(np.intp).max
 
@@ -283,18 +275,17 @@ def sample_negative_set(
 
     `pools[k]` is the candidate pool of the k-th positive item in ascending
     item order: the sorted catalog items outside the user's history that
-    share a category with it.  Each match is drawn uniformly from its pool
-    less the items already chosen, the draw `rng.choice` makes on that
-    remainder.  Falls back to a uniform draw over `unseen`, the sorted items
-    outside the history, when nothing remains.
+    share a category with it.  Each match takes one `rng.random()` u and is
+    the candidate at int(u * m) of the m items its pool holds less those
+    already chosen; of `unseen`, the sorted items outside the history, less
+    those, when nothing of its pool remains.
     """
-    pools = [np.asarray(p, dtype=np.intp) for p in pools]
-    unseen = np.asarray(unseen, dtype=np.intp)
-    n_items = 1 + max((int(p.max()) for p in [*pools, unseen] if len(p)), default=0)
+    pools = [np.asarray(p, dtype=np.intp) for p in [*pools, unseen]]
+    n_items = 1 + max((int(p.max()) for p in pools if len(p)), default=0)
     keys = np.concatenate([np.zeros(0, np.intp), *(k * n_items + p for k, p in enumerate(pools))])
-    counts, sizes = np.array([1]), np.array([len(pools)])  # one user, one set
+    n = len(pools) - 1  # one user, one set of n picks; pool n is its unseen items
     chosen = _negative_picks(
-        keys, n_items, np.arange(len(pools)), counts, sizes, [rng], lambda user: unseen
+        keys, n_items, np.arange(n), np.array([1]), np.array([n]), np.array([n]), [rng]
     )
     return sorted(chosen.tolist())
 
@@ -308,11 +299,12 @@ def _negative_sets(
 ) -> list[np.ndarray]:
     """Each user's negative sets, (S, k) like its positive sets and row i
     matched to row i, drawn from `rng_of(user)` as `sample_negative_set`
-    draws them.
+    draws them, one uniform a pick.
 
-    A pool is kept for each distinct category row of a user's items.  Users
-    go through in blocks whose pools' membership of the catalog, one
-    (pools, M) array, stays within BLOCK_ELEMENTS."""
+    A pool is kept for each distinct category row of a user's items, and
+    one more for its unseen items.  Users go through in blocks whose pools'
+    membership of the catalog, one (pools, M) array, stays within
+    BLOCK_ELEMENTS."""
     n_items = len(item_categories)
     rows, row_of = np.unique(item_categories, axis=0, return_inverse=True)
     row_of = row_of.reshape(-1)
@@ -332,19 +324,20 @@ def _negative_sets(
         pools, pick_pool = np.unique(owner * len(rows) + row_of[picks], return_inverse=True)
         pool_user, pool_row = np.divmod(pools, len(rows))
         history = [np.fromiter(histories[u], dtype=np.intp) for u in users]
-        unseen = np.ones((len(users), n_items), dtype=bool)
+        member = np.ones((len(pools) + len(users), n_items), dtype=bool)
+        unseen = member[len(pools) :]  # each user's unseen items, the last pools
         seen_by = np.repeat(np.arange(len(users)), [len(h) for h in history])
         unseen[seen_by, np.concatenate(history)] = False
-        member = rows[pool_row] @ table.T > 0
-        member &= unseen[pool_user]
+        member[: len(pools)] = rows[pool_row] @ table.T > 0
+        member[: len(pools)] &= unseen[pool_user]
         chosen = _negative_picks(
             np.flatnonzero(member),  # pool * M + item, ascending: each pool's items, sorted
             n_items,
             pick_pool.reshape(-1),
             np.array([len(positives[u]) for u in users]),
             np.array([positives[u].shape[1] for u in users]),
+            len(pools) + np.arange(len(users)),
             [rng_of(u) for u in users],
-            lambda user: np.flatnonzero(unseen[user]),
         )
         ends = np.cumsum(n_picks[lo:hi])[:-1]
         negatives += [c.reshape(positives[u].shape) for u, c in zip(users, np.split(chosen, ends))]
@@ -358,185 +351,60 @@ def _negative_picks(
     pick_pool: np.ndarray,
     counts: np.ndarray,
     sizes: np.ndarray,
+    unseen_pool: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    unseen_of: Callable[[int], np.ndarray],
 ) -> np.ndarray:
     """The matched negative of every positive pick of a block of users.
 
-    User b's picks come next in `pick_pool`: `counts[b]` sets of `sizes[b]`
-    picks back to back, drawn from `rngs[b]`.  A pick draws from its pool,
-    whose items are the ascending `keys` pool * n_items + item, less the items
-    its set has chosen; from `unseen_of(b)` less those, when nothing remains.
-
-    The sets step in lockstep over their positions.  Each set starts where
-    its user's stream would be if every earlier pick had taken one half, as
-    each pick does unless its pool is down to one item or a half is
-    rejected.  A set that took more or fewer halves ends the sets of its
-    user drawn for good; the sets after it are drawn again from where it
-    ended, twice as many at a time as were drawn for good, until none is
-    left.
+    Pool p's items are the ascending `keys` p * n_items + item, and user b's
+    unseen items are its pool `unseen_pool[b]`, the last pools.  User b's
+    picks come next in `pick_pool`: `counts[b]` sets of `sizes[b]` picks back
+    to back, which take the uniforms of one `rngs[b].random` call in turn.
+    A pick with uniform u takes the item at int(u * m) of the m items its
+    pool holds less those its set has chosen; of its user's unseen items
+    less those, when none remains.  The sets step together over their
+    positions.
     """
-    n_pools = int(pick_pool.max(initial=-1)) + 1
+    n_pools = int(unseen_pool.max()) + 1
     start = np.searchsorted(keys, np.arange(n_pools + 1) * n_items)
     keys = np.append(keys, n_pools * n_items)  # no lookup runs past the end
     owner = np.repeat(np.arange(len(rngs)), counts)  # the user of each set
     size = sizes[owner]
     first = np.cumsum(size) - size  # each set's first pick
-    last = np.cumsum(counts)  # past each user's last set
-    settled = last - counts  # each user's first set not drawn for good
-    settled_at = np.zeros(len(rngs), dtype=np.intp)  # and the half it starts from
-    window = counts.copy()  # and how many sets to draw from there
-    took = size.copy()  # halves each set takes: one a pick, until drawn
-    end = np.zeros(len(owner), dtype=np.intp)  # the half after each set's last
-    chosen = np.zeros(int(size.sum()), dtype=np.intp)
-    unseen_of_user: dict[int, np.ndarray] = {}
-    streams = _HalfStreams(rngs, counts * sizes)
-    try:
-        while len(users := np.flatnonzero(settled < last)):
-            span = np.minimum(window[users], last[users] - settled[users])
-            head = np.cumsum(span) - span
-            sets = np.repeat(settled[users] - head, span) + np.arange(span.sum())
-            user = owner[sets]
-            # each set's first half, if the sets before it take what they took last
-            begin = np.cumsum(took[sets]) - took[sets]
-            begin += np.repeat(settled_at[users] - begin[head], span)
-            at = begin.copy()
-            for q in range(int(size[sets].max())):
-                live = np.flatnonzero(size[sets] > q)
-                pick = first[sets[live]] + q
-                pool = pick_pool[pick]
-                lo = start[pool]
-                m = start[pool + 1] - lo
-                # the set's earlier picks, and where in this pool those it holds are
-                before = chosen[pick[:, None] - q + np.arange(q)]
-                wanted = pool[:, None] * n_items + before
-                found = keys.searchsorted(wanted)
-                taken = keys[found] == wanted
-                m -= taken.sum(axis=1)
-                taken = np.sort(np.where(taken, found - lo[:, None], _NONE_TAKEN), axis=1)
-                fallback = {}
-                for i in np.flatnonzero(m == 0).tolist():
-                    log.debug("category-matched pool empty; falling back to uniform unseen draw")
-                    b = int(user[live[i]])
-                    if b not in unseen_of_user:
-                        unseen_of_user[b] = unseen_of(b)
-                    unseen = unseen_of_user[b]
-                    found = unseen.searchsorted(before[i])
-                    held = found < len(unseen)
-                    found = np.sort(found[held][unseen[found[held]] == before[i][held]])
-                    m[i] = len(unseen) - len(found)
-                    if not m[i]:
-                        raise ValueError("catalog exhausted while sampling a negative set")
-                    fallback[i] = unseen, found
-                    taken[i] = _NONE_TAKEN
-                j, at[live] = streams.integers(user[live], at[live], m)
-                for c in range(q):  # skip past the chosen items, in pool order
-                    j += taken[:, c] <= j
-                item = keys[np.minimum(lo + j, len(keys) - 1)] - pool * n_items
-                for i, (unseen, found) in fallback.items():
-                    for c in found.tolist():
-                        j[i] += c <= j[i]
-                    item[i] = unseen[j[i]]
-                chosen[pick] = item
-            end[sets], took[sets] = at, at - begin
-            # a user's sets are drawn for good up to the first that did not
-            # start where the one before it ended; its next window is twice that
-            moved = np.r_[False, begin[1:] != at[:-1]]
-            moved[head] = False
-            moved = np.cumsum(moved)
-            good = np.bincount(user[moved == np.repeat(moved[head], span)], minlength=len(rngs))
-            settled += good
-            settled_at = np.where(good > 0, end[settled - 1], settled_at)
-            window = 2 * good
-    finally:
-        streams.close(end[last - 1])
+    uniforms = np.concatenate([r.random(n) for r, n in zip(rngs, (counts * sizes).tolist())])
+    chosen = np.zeros(len(uniforms), dtype=np.intp)
+    for q in range(int(size.max())):
+        live = np.flatnonzero(size > q)
+        pick = first[live] + q
+        before = chosen[pick[:, None] - q + np.arange(q)]  # the set's earlier picks
+        pool = pick_pool[pick]
+        m, taken = _remaining(keys, start, pool, before, n_items)
+        empty = np.flatnonzero(m == 0)
+        if len(empty):
+            log.debug("category-matched pool empty; falling back to uniform unseen draw")
+            pool[empty] = unseen_pool[owner[live[empty]]]
+            m[empty], taken[empty] = _remaining(keys, start, pool[empty], before[empty], n_items)
+            if not m.all():
+                raise ValueError("catalog exhausted while sampling a negative set")
+        j = (uniforms[pick] * m).astype(np.intp)
+        for c in range(q):  # skip past the chosen items, in pool order
+            j += taken[:, c] <= j
+        chosen[pick] = keys[start[pool] + j] - pool * n_items
     return chosen
 
 
-class _HalfStreams:
-    """Each user's generator as the 32-bit halves that scalar
-    `rng.integers(0, m)` calls read from it, the first at position 0.
-
-    For 2 <= m <= 2**32, `rng.integers(0, m)` takes the next half x and
-    returns x * m >> 32, unless the low 32 bits of x * m fall below
-    (2**32 - m) % m, when it takes another half instead (Lemire's method).
-    m == 1 takes nothing.  PCG64 serves the low half of each raw draw first
-    and keeps the high half in its state (`has_uint32`, `uinteger`) for the
-    next call.  The halves are read ahead with `bit_generator.random_raw`,
-    `picks[b]` of them for user b, and more when a draw needs them; `close`
-    puts each generator where the calls that used them would have left it."""
-
-    def __init__(self, rngs: Sequence[np.random.Generator], picks: np.ndarray):
-        self.generators = [r.bit_generator for r in rngs]
-        self.states = [g.state for g in self.generators]
-        self.buffered = np.array([s["has_uint32"] for s in self.states], dtype=np.intp)
-        self.drawn = (np.asarray(picks, dtype=np.intp) + 1) // 2
-        # user b's halves are halves[base[b] : base[b] + held[b]]
-        self.held = self.buffered + 2 * self.drawn
-        self.base = np.cumsum(self.held) - self.held
-        self.halves = np.zeros(int(self.held.sum()), dtype=np.uint64)
-        for b in np.flatnonzero(self.buffered).tolist():
-            self.halves[self.base[b]] = self.states[b]["uinteger"]
-        raws = [g.random_raw(n) for g, n in zip(self.generators, self.drawn.tolist())]
-        user = np.repeat(np.arange(len(rngs)), 2 * self.drawn)
-        column = np.arange(len(user)) - (np.cumsum(2 * self.drawn) - 2 * self.drawn)[user]
-        self.halves[self.base[user] + self.buffered[user] + column] = _halves(
-            np.concatenate([np.zeros(0, np.uint64), *raws])
-        )
-
-    def integers(
-        self, users: np.ndarray, at: np.ndarray, m: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """`rng.integers(0, m[i])` on the stream of `users[i]` from its half
-        `at[i]`, and the position after the last half each draw took."""
-        at = at.copy()
-        m = m.astype(np.uint64)
-        j = np.zeros(len(m), dtype=np.uint64)
-        lanes = np.flatnonzero(m > 1)
-        limit = (2**32 - m[lanes]) % m[lanes]
-        while len(lanes):
-            self._read_ahead(users[lanes], at[lanes])
-            x = self.halves[self.base[users[lanes]] + at[lanes]] * m[lanes]
-            at[lanes] += 1
-            j[lanes] = x >> 32
-            again = (x & 0xFFFFFFFF) < limit
-            lanes, limit = lanes[again], limit[again]
-        return j.astype(np.intp), at
-
-    def _read_ahead(self, users: np.ndarray, at: np.ndarray) -> None:
-        """Read READ_AHEAD more raw draws for each user whose half `at` is
-        not held yet, moving its halves to the end."""
-        while (short := at >= self.held[users]).any():
-            for b in np.unique(users[short]).tolist():
-                held = self.halves[self.base[b] : self.base[b] + self.held[b]]
-                more = _halves(self.generators[b].random_raw(READ_AHEAD))
-                self.base[b] = len(self.halves)
-                self.halves = np.concatenate([self.halves, held, more])
-                self.drawn[b] += READ_AHEAD
-                self.held[b] += len(more)
-
-    def close(self, used: np.ndarray) -> None:
-        """Leave each generator as if the first `used[b]` halves of user b
-        were read by scalar calls and no more."""
-        for b, (g, s) in enumerate(zip(self.generators, self.states)):
-            raw_used = int(used[b] - self.buffered[b])  # halves used of the raw draws
-            raws = (max(raw_used, 0) + 1) // 2
-            g.advance(raws - int(self.drawn[b]))  # back over the draws read but not used
-            state = g.state
-            if raw_used > 0:
-                state["has_uint32"] = raw_used % 2
-                last = self.base[b] + self.buffered[b] + 2 * raws - 1
-                state["uinteger"] = int(self.halves[last])
-            else:
-                state["has_uint32"] = int(self.buffered[b] - used[b])
-                state["uinteger"] = s["uinteger"]
-            g.state = state
-
-
-def _halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw 64-bit draws in the order PCG64 serves them,
-    low half first."""
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+def _remaining(
+    keys: np.ndarray, start: np.ndarray, pool: np.ndarray, before: np.ndarray, n_items: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """How many items each `pool` holds less its set's earlier picks
+    `before`, and where in the pool those it holds are, ascending and padded
+    with _NONE_TAKEN."""
+    wanted = pool[:, None] * n_items + before
+    found = keys.searchsorted(wanted)
+    held = keys[found] == wanted
+    lo = start[pool]
+    taken = np.sort(np.where(held, found - lo[:, None], _NONE_TAKEN), axis=1)
+    return start[pool + 1] - lo - held.sum(axis=1), taken
 
 
 def dump_paired_sets(pairs: Iterable[PairedDiverseSets], path) -> None:

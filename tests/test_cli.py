@@ -230,6 +230,7 @@ class TestExitCodes:
             {"losses": ""},
             {"losses": "ce,ce"},
             {"n_list": "5,5"},
+            {"seed": -1},
         ],
     )
     def test_out_of_range_setting_is_config_error(self, tmp_path, small_dataset, setting):

@@ -21,7 +21,6 @@ from dppseq.diverse_sets import (
     generate_diverse_sets,
     load_paired_sets,
     sample_negative_set,
-    _HalfStreams,
     _choice_cdf,
     _choice_pick,
     user_seed,
@@ -222,7 +221,8 @@ def reference_sample_negative_set(
     positive, positive_categories, user_history, catalog_by_category, rng, all_items
 ):
     """The per-item scan over the catalog that `sample_negative_set` replaced,
-    with the chosen items in ascending order."""
+    with the chosen items in ascending order: each match is the candidate at
+    int(u * m) of the m candidates, for one `rng.random()` u."""
     chosen = set()
     for pos_item in sorted(positive):
         cats = sorted(positive_categories[pos_item])
@@ -238,7 +238,7 @@ def reference_sample_negative_set(
             if not candidates:
                 raise ValueError("catalog exhausted while sampling a negative set")
         candidates = sorted(set(candidates))
-        chosen.add(int(rng.choice(candidates)))
+        chosen.add(candidates[int(rng.random() * len(candidates))])
     return sorted(chosen)
 
 
@@ -367,34 +367,6 @@ class TestMatchesReference:
         want = reference_generate_diverse_sets(user_items, 0.5, 5, seed)
         got = generate_diverse_sets(*as_arrays(user_items, 50), 0.5, 5, seed)
         assert got.tolist() == want
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1])
-def test_half_streams_draw_as_scalar_integers(m):
-    """`_HalfStreams` against scalar `rng.integers(0, m)` calls on twin
-    generators, one of which starts with a buffered half: the same draws, and
-    the same generator states after them.  If numpy ever changes its bounded
-    integer draw, this fails instead of the negative sets drifting silently."""
-    n_draws = 200
-    rngs = [np.random.default_rng([m % 997, lane]) for lane in range(3)]
-    twins = [np.random.default_rng([m % 997, lane]) for lane in range(3)]
-    for rng in (rngs[1], twins[1]):
-        rng.integers(0, 5)  # leaves the high half of a raw draw buffered
-    want = [[int(t.integers(0, m)) for _ in range(n_draws)] for t in twins]
-    streams = _HalfStreams(rngs, np.full(3, n_draws))
-    users, at, got = np.arange(3), np.zeros(3, dtype=np.intp), []
-    for _ in range(n_draws):
-        j, at = streams.integers(users, at, np.full(3, m))
-        got.append(j.tolist())
-    streams.close(at)
-    assert np.array(got).T.tolist() == want
-    assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
-    if m == 1:
-        assert (at == 0).all()
-    elif m == 2**31 + 1:
-        assert (at > 1.3 * n_draws).all(), at  # about half the draws reject
-    else:
-        assert (at == n_draws).all(), at
 
 
 class TestUserStreams:
@@ -591,8 +563,8 @@ def test_build_paired_sets_matches_the_frozenset_path(monkeypatch):
 
 
 def reference_sets_file(out, T, decay, set_size, seed):
-    """diverse_sets.tsv as the per-pick `rng.choice` reference functions
-    write it, from the filtered log of a prepared pipeline."""
+    """diverse_sets.tsv as the per-pick reference functions write it, from
+    the filtered log of a prepared pipeline."""
     log = load_interactions(out / "filtered.csv")
     split = temporal_split(log, T)
     histories = user_histories(split)
@@ -664,18 +636,12 @@ def write_multi_user_log(path):
 def test_gen_sets_draws_many_users_at_once_as_the_reference(tmp_path, monkeypatch, caplog):
     """Users of many item counts, one of over 1,000 train items, one whose
     category pool is empty so that it falls back to unseen draws, one whose
-    pool is down to one item so that its later sets are drawn again, and a
-    block size small enough that the users take several blocks, of the
-    negative draws and of the positive draws at one item count: `gen-sets`
-    writes the bytes of the per-pick `rng.choice` reference."""
+    pool is down to one item, and a block size small enough that the users
+    take several blocks, of the negative draws and of the positive draws at
+    one item count: `gen-sets` writes the bytes of the per-pick reference."""
     monkeypatch.setattr(diverse_sets, "BLOCK_ELEMENTS", 1 << 15)
-    blocks = {"negative": 0, "positive": [], "draws": 0}
+    blocks = {"negative": 0, "positive": []}
     draw_sets, negative_picks = diverse_sets._draw_sets, diverse_sets._negative_picks
-    integers = diverse_sets._HalfStreams.integers
-
-    def counted_integers(self, *args):
-        blocks["draws"] += 1
-        return integers(self, *args)
 
     def counted_draw_sets(categories, *args):
         blocks["positive"].append(categories.shape[1])
@@ -687,7 +653,6 @@ def test_gen_sets_draws_many_users_at_once_as_the_reference(tmp_path, monkeypatc
 
     monkeypatch.setattr(diverse_sets, "_draw_sets", counted_draw_sets)
     monkeypatch.setattr(diverse_sets, "_negative_picks", counted_negative_picks)
-    monkeypatch.setattr(diverse_sets._HalfStreams, "integers", counted_integers)
     dataset = tmp_path / "interactions.csv"
     write_multi_user_log(dataset)
     out = tmp_path / "out"
@@ -701,7 +666,6 @@ def test_gen_sets_draws_many_users_at_once_as_the_reference(tmp_path, monkeypatc
     counts = [len(set(train)) for train in split.train]
     assert max(counts) >= 1000 and len(set(counts)) >= 10
     assert blocks["negative"] > 10
-    assert blocks["draws"] > 5 * blocks["negative"]  # a block drew some sets again
     assert max(blocks["positive"].count(n) for n in blocks["positive"]) > 1
     want = reference_sets_file(out, 1, 0.5, 5, seed=8)
     assert (out / "diverse_sets.tsv").read_bytes() == want
