@@ -1,8 +1,20 @@
 """Brute-force oracles for tests: exponential-time subset enumeration,
-cofactor-expansion determinants, and finite-difference gradients.
+elimination and cofactor-expansion determinants, and finite-difference
+gradients.
 
 Nothing in the production path imports this module; it exists so every
-numerical claim can be checked against an independent implementation.
+numerical claim can be checked against an independent implementation.  No
+oracle here calls LAPACK (`np.linalg`), which the production path uses:
+
+- `principal_minor_dets` gives det(L_Y) for every subset Y of a ground set
+  at once.  For each size r it stacks the C(n, r) minors and runs Gaussian
+  elimination with partial pivoting over the whole stack in numpy.
+- `enumerate_normalizer` and `oracle_dpp_distribution` (and the conditional,
+  marginal and pair oracles built on it) sum and normalise those
+  determinants, so Sum_Y det(L_Y) = det(L + I) checks LAPACK against an
+  independent computation.
+- `cofactor_det`, Laplace expansion in plain Python, is the small-n
+  reference that tests check the elimination against.
 """
 
 from __future__ import annotations
@@ -51,6 +63,48 @@ def cofactor_det(matrix: np.ndarray) -> float:
     return minor(tuple(range(n)))
 
 
+def _stack_dets(stack: np.ndarray) -> np.ndarray:
+    """Determinants of an (N, r, r) stack by Gaussian elimination with
+    partial pivoting.  A zero pivot column gives exactly 0.0."""
+    a = np.array(stack, dtype=float)
+    N, r = a.shape[:2]
+    det = np.ones(N)
+    singular = np.zeros(N, dtype=bool)
+    at = np.arange(N)
+    for k in range(r):
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        det[p != k] *= -1.0
+        pivot_row = a[at, p].copy()
+        a[at, p] = a[:, k]
+        a[:, k] = pivot_row
+        pivot = a[:, k, k]
+        zero = pivot == 0.0
+        singular |= zero
+        det *= pivot
+        factors = a[:, k + 1 :, k] / np.where(zero, 1.0, pivot)[:, None]
+        a[:, k + 1 :, k:] -= factors[:, :, None] * a[:, None, k, k:]
+    return np.where(singular, 0.0, det)
+
+
+def principal_minor_dets(matrix: np.ndarray) -> dict[tuple[int, ...], float]:
+    """det(matrix[Y, Y]) of every subset Y of the positions, keyed by Y's
+    sorted positions in order of size, then lexicographically; the empty
+    subset gives 1.0.  Exponential in n; rejected above n = 15, and for a
+    non-finite matrix."""
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    if n > 15:
+        raise ValueError("ground set too large for 2^n enumeration")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    dets: dict[tuple[int, ...], float] = {(): 1.0}
+    for r in range(1, n + 1):
+        subsets = list(combinations(range(n), r))
+        pos = np.array(subsets, dtype=np.intp)
+        dets.update(zip(subsets, _stack_dets(a[pos[:, :, None], pos[:, None, :]]).tolist()))
+    return dets
+
+
 def identity_kernel(n_items: int) -> DiversityKernelLowRank:
     """Diagonal diversity kernel (no similarity structure); useful for tests."""
     return DiversityKernelLowRank(np.eye(n_items), normalized=True)
@@ -62,34 +116,21 @@ def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -
     With required empty this equals det(L + I).  Exponential in the ground-set
     size; rejected above n = 15.
     """
-    if kernel.size > 15:
-        raise ValueError("ground set too large for 2^n enumeration")
-    req = _validate_positions(kernel, required)
-    if not np.all(np.isfinite(kernel.matrix)):
-        raise ValueError("array must not contain infs or NaNs")
-    free = [p for p in range(kernel.size) if p not in set(req)]
+    req = set(_validate_positions(kernel, required).tolist())
     total = 0.0
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            pos = np.asarray(sorted(set(req) | set(extra)), dtype=int)
-            sub = kernel.matrix[np.ix_(pos, pos)]
-            total += float(np.linalg.det(sub))
+    for subset, det in principal_minor_dets(kernel.matrix).items():
+        if req.issubset(subset):
+            total += det
     return total
 
 
 def oracle_dpp_distribution(kernel: SequenceKernel) -> dict[frozenset, float]:
-    """Probability of every subset of the ground set under P(Y) ~ det(L_Y)."""
-    n = kernel.size
-    if n > 15:
-        raise ValueError("ground set too large for enumeration")
-    dets = {}
-    for r in range(n + 1):
-        for subset in combinations(range(n), r):
-            pos = np.asarray(subset, dtype=int)
-            sub = kernel.matrix[np.ix_(pos, pos)]
-            dets[frozenset(subset)] = cofactor_det(sub) if pos.size else 1.0
+    """Probability of every subset of the ground set under P(Y) ~ det(L_Y).
+    Rejects what `principal_minor_dets` rejects: n > 15 and a non-finite
+    kernel."""
+    dets = principal_minor_dets(kernel.matrix)
     total = sum(dets.values())
-    return {s: d / total for s, d in dets.items()}
+    return {frozenset(s): d / total for s, d in dets.items()}
 
 
 def oracle_conditional_distribution(

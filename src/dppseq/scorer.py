@@ -132,11 +132,22 @@ RowBlocks = dict[str, tuple[np.ndarray, np.ndarray]]
 
 def _row_sums(idx: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `idx`, ascending, and `values` (broadcast to
-    `idx` plus the row shape) summed onto each, in input order from 0.0."""
-    rows, inverse = np.unique(idx, return_inverse=True)
-    sums = np.zeros((rows.size, *values.shape[idx.ndim :]))
-    np.add.at(sums, inverse.reshape(idx.shape), values)
-    return rows, sums
+    `idx` plus the row shape) summed onto each, in input order from 0.0.
+
+    One `np.bincount` over slot * width + column: it adds each bin's weights
+    in input order onto 0.0, the additions `np.add.at` makes into zeros."""
+    row_shape = values.shape[idx.ndim :]
+    if not idx.size:
+        return np.empty(0, dtype=np.intp), np.zeros((0, *row_shape))
+    width = int(np.prod(row_shape))
+    present = np.zeros(int(idx.max()) + 1, dtype=bool)
+    present[idx] = True
+    rows = np.flatnonzero(present)
+    slot = np.cumsum(present) - 1
+    bins = (slot[idx.ravel()] * width)[:, None] + np.arange(width)
+    weights = np.broadcast_to(values, idx.shape + row_shape).ravel()
+    sums = np.bincount(bins.ravel(), weights, minlength=rows.size * width)
+    return rows, sums.reshape(rows.size, *row_shape)
 
 
 def _backprop(
@@ -150,11 +161,18 @@ def _backprop(
     """d(loss)/d(params) of a stack, given d(loss)/d(scores): for each table,
     the rows the stack touches and the gradient summed onto each of them."""
     grad_context = np.einsum("bn,bnd->bd", grad_scores, params.item_out_emb[scored])
+    # item_out_emb and item_bias share the index `scored`: one scatter, bias last
+    out_rows, out_sums = _row_sums(
+        scored,
+        np.concatenate(
+            [grad_scores[:, :, None] * contexts[:, None, :], grad_scores[:, :, None]], axis=2
+        ),
+    )
     return {
         "user_emb": _row_sums(users, grad_context),
         "item_in_emb": _row_sums(previous, (grad_context / previous.shape[1])[:, None, :]),
-        "item_out_emb": _row_sums(scored, grad_scores[:, :, None] * contexts[:, None, :]),
-        "item_bias": _row_sums(scored, grad_scores),
+        "item_out_emb": (out_rows, out_sums[:, :-1]),
+        "item_bias": (out_rows, out_sums[:, -1]),
     }
 
 

@@ -1,5 +1,7 @@
 """Sanity checks on the brute-force oracles themselves."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -11,6 +13,7 @@ from dppseq.oracle import (
     enumerate_normalizer,
     oracle_dpp_distribution,
     oracle_fd_gradient,
+    principal_minor_dets,
 )
 
 from conftest import random_sequence_kernel
@@ -30,12 +33,66 @@ def test_cofactor_agrees_with_log_det_psd(rng):
         assert np.log(cofactor_det(psd)) == pytest.approx(log_det_psd(psd), rel=1e-8)
 
 
+def test_principal_minor_dets_match_cofactor(rng):
+    # random symmetric PSD at scales 0.1 to 10, and non-symmetric matrices
+    for n in range(9):
+        A = rng.standard_normal((n, n))
+        for matrix in (A @ A.T * rng.uniform(0.1, 10.0) + 0.1 * np.eye(n), A):
+            dets = principal_minor_dets(matrix)
+            subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
+            assert list(dets) == subsets
+            for subset, det in dets.items():
+                sub = matrix[np.ix_(subset, subset)]
+                scale = np.prod(np.linalg.norm(sub, axis=1))  # Hadamard's bound
+                assert det == pytest.approx(cofactor_det(sub), rel=1e-9, abs=1e-12 * scale)
+
+
+def test_principal_minor_dets_exact_cases():
+    assert principal_minor_dets(np.zeros((0, 0))) == {(): 1.0}
+    # needs a row swap
+    assert principal_minor_dets([[0.0, 1.0], [1.0, 0.0]]) == {
+        (): 1.0, (0,): 0.0, (1,): 0.0, (0, 1): -1.0
+    }
+    # rows 1 and 2 repeat, so the minors holding both are exactly singular:
+    # +0.0, though the row swap has made the running product negative
+    repeated = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [4.0, 5.0, 7.0]])
+    dets = principal_minor_dets(repeated)
+    for subset in ((1, 2), (0, 1, 2)):
+        assert dets[subset] == 0.0 and not np.signbit(dets[subset])
+    # a zero first column: a zero pivot before the last step
+    zero_column = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 7.0]])
+    dets = principal_minor_dets(zero_column)
+    assert dets[(0, 1)] == dets[(0, 1, 2)] == 0.0
+    assert dets[(1, 2)] == pytest.approx(1.0, rel=1e-15)
+    # non-symmetric
+    nonsym = np.array([[2.0, 1.0, 0.0], [-3.0, 1.0, 4.0], [0.5, 0.0, 1.0]])
+    dets = principal_minor_dets(nonsym)
+    assert dets[(0, 1)] == pytest.approx(5.0, rel=1e-15)
+    assert dets[(0, 1, 2)] == pytest.approx(7.0, rel=1e-15)
+    assert dets[(1, 2)] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_enumeration_oracles_call_no_lapack(rng, monkeypatch):
+    kernel = random_sequence_kernel(6, rng)
+    want = la.det(kernel.matrix + np.eye(6))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("det", "cholesky", "inv", "slogdet", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert enumerate_normalizer(kernel) == pytest.approx(want, rel=1e-10)
+    assert sum(oracle_dpp_distribution(kernel).values()) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_enumerate_normalizer_rejects_nonfinite(bad):
     matrix = np.eye(3)
     matrix[0, 1] = matrix[1, 0] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infs or NaNs"):
         enumerate_normalizer(make_kernel(matrix))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        oracle_dpp_distribution(make_kernel(matrix))
 
 
 def test_distribution_single_item():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dppseq.data import Instances, SequenceInstance, SplitResult
 from dppseq.kernel_learning import normalize_kernel
@@ -11,6 +13,7 @@ from dppseq.oracle import oracle_fd_gradient
 from dppseq.scorer import (
     RANK_BLOCK_USERS,
     ScorerParams,
+    _row_sums,
     TrainConfig,
     backprop_scores,
     evaluate_model,
@@ -74,6 +77,63 @@ class TestScore:
             score(zero_params(), 0, [], [1])
 
 
+def reference_row_sums(idx, values):
+    """`_row_sums` as `np.unique` plus an unbuffered `np.add.at` into zeros."""
+    rows, inverse = np.unique(idx, return_inverse=True)
+    sums = np.zeros((rows.size, *values.shape[idx.ndim :]))
+    np.add.at(sums, inverse.reshape(idx.shape), values)
+    return rows, sums
+
+
+@st.composite
+def row_sum_cases(draw):
+    """An index of repeated, unsorted rows, 1-d or 2-d and possibly empty,
+    with values of its own shape, with a row of width w, or broadcast over
+    the index's second axis."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=2)))
+    idx = np.array(draw(st.lists(st.integers(0, 7), min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape)))), dtype=np.intp).reshape(shape)
+    kind = draw(st.sampled_from(["same", "rows", "broadcast"] if idx.ndim == 2 else ["same", "rows"]))
+    width = draw(st.integers(1, 3))
+    value_shape = {
+        "same": shape,
+        "rows": shape + (width,),
+        "broadcast": (shape[0], 1, width),
+    }[kind]
+    floats = st.one_of(
+        st.sampled_from([1e16, 1.0, -1e16, 0.0, -0.0]),
+        st.floats(-1e300, 1e300),
+    )
+    n_values = int(np.prod(value_shape))
+    values = draw(st.lists(floats, min_size=n_values, max_size=n_values))
+    return idx, np.array(values, dtype=float).reshape(value_shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(row_sum_cases())
+@example((np.array([[3, 3, 3]]), np.array([[1e16, 1.0, -1e16]])))
+@example((np.array([3, 3, 3, 3]), np.array([1e16, 1.0, -1e16, 1.0])))
+@example((np.array([5, 2, 5]), np.array([-0.0, -0.0, -0.0])))
+@example((np.array([4]), np.array([[2.5, -1.0]])))
+@example((np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0, 3))))
+def test_row_sums_equal_unique_and_add_at(case):
+    idx, values = case
+    rows, sums = _row_sums(idx, values)
+    want_rows, want_sums = reference_row_sums(idx, values)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert sums.dtype == want_sums.dtype and sums.shape == want_sums.shape
+    assert sums.tobytes() == want_sums.tobytes()
+
+
+def test_row_sums_add_in_input_order():
+    # in order 0.0; with 1.0 added last, as a pairwise sum may, 1.0
+    _, sums = _row_sums(np.array([[3, 3, 3]]), np.array([[1e16, 1.0, -1e16]]))
+    assert sums.tolist() == [0.0]
+    # in order 1.0; reversed or pairwise 0.0
+    _, sums = _row_sums(np.array([3, 3, 3, 3]), np.array([1e16, 1.0, -1e16, 1.0]))
+    assert sums.tolist() == [1.0]
+
+
 class TestBackprop:
     def test_matches_finite_differences(self, rng):
         params = init_params(3, 10, d=4, seed=5)
@@ -112,6 +172,14 @@ class TestBackprop:
         fd = oracle_fd_gradient(objective, pack(params))
         denom = np.maximum(np.abs(fd), 1e-3)
         assert np.max(np.abs(analytic - fd) / denom) < 1e-4
+
+    def test_no_candidates_give_empty_blocks(self):
+        blocks = backprop_scores(init_params(2, 5, d=3, seed=0), 0, [1], [], np.zeros(0))
+        out_rows, out_grad = blocks["item_out_emb"]
+        bias_rows, bias_grad = blocks["item_bias"]
+        assert out_rows.size == bias_rows.size == 0
+        assert out_grad.shape == (0, 3) and bias_grad.shape == (0,)
+        assert out_grad.dtype == bias_grad.dtype == np.float64
 
     def test_repeated_candidate_accumulates(self):
         params = init_params(2, 5, d=3, seed=0)
