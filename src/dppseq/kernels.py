@@ -6,6 +6,13 @@ L = Diag(q) K_sub Diag(q) over the instance's ground set (previous items,
 targets, sampled negatives).  Set probabilities are ratios of principal-minor
 determinants; the normalizer det(L + I) covers all subsets, and conditioning
 on an observed set replaces I by an identity restricted to its complement.
+The plain set likelihood (DSL) is the conditional one (CDSL) with nothing
+observed.
+
+Training calls `set_log_likelihood_batch` on stacks of same-layout ground
+sets.  The per-instance chain (`build_sequence_kernel` ->
+`cdsl_log_likelihood` -> `grad_quality`) factors its own log-dets, but
+`_score_gradient` is the one score-gradient formula of both.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ class GroundSet:
     previous: tuple[int, ...]
     targets: tuple[int, ...]
     negatives: tuple[int, ...]
-    user: int = 0
-    time_step: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "previous", tuple(int(i) for i in self.previous))
@@ -63,11 +68,6 @@ class GroundSet:
     def target_positions(self) -> tuple[int, ...]:
         lo = len(self.previous)
         return tuple(range(lo, lo + len(self.targets)))
-
-    @property
-    def negative_positions(self) -> tuple[int, ...]:
-        lo = len(self.previous) + len(self.targets)
-        return tuple(range(lo, self.size))
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,6 @@ class QualityVector:
         raw = np.asarray(raw_scores, dtype=float)
         return cls(raw_scores=raw, qualities=qualities_from_raw(raw))
 
-    @property
-    def clamp_active(self) -> np.ndarray:
-        return np.abs(self.raw_scores) >= RAW_SCORE_CLAMP
-
     def __len__(self) -> int:
         return len(self.qualities)
 
@@ -144,9 +140,8 @@ class SequenceKernel:
     """
 
     matrix: np.ndarray
-    ground_set: GroundSet
-    base: np.ndarray = field(repr=False, default=None)
-    qualities: QualityVector = field(repr=False, default=None)
+    base: np.ndarray = field(repr=False)
+    qualities: QualityVector = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -168,7 +163,7 @@ def build_sequence_kernel(
     base = kernel.submatrix(ground_set.items)
     q = qualities.qualities
     matrix = base * np.outer(q, q)
-    return SequenceKernel(matrix=matrix, ground_set=ground_set, base=base, qualities=qualities)
+    return SequenceKernel(matrix=matrix, base=base, qualities=qualities)
 
 
 def _check_symmetric(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -183,18 +178,18 @@ def _check_symmetric(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return matrix
 
 
-def log_det_psd(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> float:
+def log_det_psd(matrix: np.ndarray) -> float:
     """log det of a symmetric PSD matrix via Cholesky, with one jitter retry."""
-    return float(_log_det_of_factor(_cholesky_jittered(_check_symmetric(matrix), jitter)))
+    return float(_log_det_of_factor(_cholesky_jittered(_check_symmetric(matrix))))
 
 
-def _cholesky_jittered(matrix: np.ndarray, jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Lower Cholesky factor, with one diagonal-jitter retry."""
+def _cholesky_jittered(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, with one retry at DEFAULT_JITTER on the diagonal."""
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
+            return np.linalg.cholesky(matrix + DEFAULT_JITTER * np.eye(matrix.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("matrix indefinite even after jitter") from exc
 
@@ -217,22 +212,16 @@ def _log_det_or_neginf(matrix: np.ndarray) -> float:
 
 
 def _validate_positions(kernel: SequenceKernel, positions: Sequence[int]) -> np.ndarray:
-    pos = np.asarray(sorted(set(int(p) for p in positions)), dtype=int)
-    if pos.size and (pos.min() < 0 or pos.max() >= kernel.size):
+    pos = sorted(set(int(p) for p in positions))
+    if pos and (pos[0] < 0 or pos[-1] >= kernel.size):
         raise ValueError("subset position out of range")
-    return pos
+    return np.asarray(pos, dtype=int)
 
 
 def dsl_log_likelihood(kernel: SequenceKernel, targets: Sequence[int]) -> float:
-    """log P(Y_T) = log det(L_{Y_T}) - log det(L + I) under the set DPP."""
-    pos = _validate_positions(kernel, targets)
-    if pos.size == 0:
-        raise ValueError("target subset must be nonempty")
-    num = _log_det_or_neginf(kernel.matrix[np.ix_(pos, pos)])
-    if num == -np.inf:
-        return -np.inf
-    den = log_det_psd(kernel.matrix + np.eye(kernel.size))
-    return num - den
+    """log P(Y_T) = log det(L_{Y_T}) - log det(L + I) under the set DPP: the
+    conditional log-likelihood with nothing observed."""
+    return cdsl_log_likelihood(kernel, (), targets)
 
 
 def cdsl_log_likelihood(
@@ -264,38 +253,53 @@ def grad_quality(
 ) -> np.ndarray:
     """Gradient of the negative set log-likelihood w.r.t. the raw scores r.
 
-    `selected` is the set whose determinant forms the numerator (targets for
-    the plain set likelihood, previous+targets for the conditional one);
-    `conditioned` indexes the observed positions excluded from the
-    normalizer's identity mask.  Uses d log det(L_Y)/dr_i = 1 for i in Y and
-    d log det(L + I_mask)/dq_i = 2 (K_sub Q B)_ii with B the inverse of the
-    normalizer matrix, chained through q = exp(r/2).
-
-    This is the per-instance reference for `set_log_likelihood_batch`.
+    `selected` is the set whose determinant forms the numerator and must be
+    the first k positions (targets for the plain set likelihood, previous +
+    targets for the conditional one); `conditioned`, the observed positions
+    left out of the normalizer's identity mask, must be the first j <= k.
+    The gradient is `set_log_likelihood_batch`'s for a one-row stack, from
+    the same code.
     """
-    if kernel.base is None or kernel.qualities is None:
-        raise ValueError("kernel must carry its base kernel and qualities")
     sel = _validate_positions(kernel, selected)
     obs = _validate_positions(kernel, conditioned)
-    if sel.size == 0:
+    k, j = sel.size, obs.size
+    if k == 0:
         raise ValueError("selected subset must be nonempty")
-    if not set(obs).issubset(set(sel)):
-        raise ValueError("conditioned set must be contained in the selected set")
-
+    # sorted distinct positions are the first k exactly when the last is k - 1
+    if j > k or sel[-1] != k - 1 or (j and obs[-1] != j - 1):
+        raise ValueError("selected must be the first k positions and conditioned the first j <= k")
     mask = np.ones(kernel.size)
-    mask[obs] = 0.0
+    mask[:j] = 0.0
     chol = _cholesky_jittered(_check_symmetric(kernel.matrix + np.diag(mask)))
-    inv_chol = np.linalg.inv(chol)
+    q = kernel.qualities
+    return _score_gradient(
+        kernel.base[None], q.qualities[None], q.raw_scores[None], chol[None], k, j
+    )[0]
 
-    q = kernel.qualities.qualities
-    # diag(K_sub Q B), computed without forming the product matrix
-    diag_kqb = np.einsum("ij,j,ji->i", kernel.base, q, inv_chol.T @ inv_chol)
-    grad = q * diag_kqb
-    grad[sel] -= 1.0
+
+def _score_gradient(base, q, raw, chol, n_selected: int, n_observed: int) -> np.ndarray:
+    """Gradients (B, n) of the negative set log-likelihoods w.r.t. the raw
+    scores of a stack of ground sets, from their base kernels, qualities,
+    raw scores and the lower Cholesky factors of their normalizers.
+
+    d log det(L_Y)/dr_i = 1 for i in Y, and d log det(L + I_mask)/dr_i =
+    q_i (K_sub Q B)_ii with B the inverse of the normalizer, through
+    q = exp(r/2).
+    """
+    # The row norms s of chol are sqrt(diag(denom)), so chol / s is the
+    # factor of the unit-diagonal S^-1 denom S^-1: its inverse is accurate
+    # whatever the spread of the qualities, and B = S^-1 inv_scaled S^-1.
+    s = np.linalg.norm(chol, axis=2)
+    inv_chol = np.linalg.inv(chol / s[:, :, None])
+    inv_scaled = inv_chol.transpose(0, 2, 1) @ inv_chol
+    # q_i (K_sub Q B)_ii = r_i (K_sub R inv_scaled)_ii with r = q / s
+    r = q / s
+    grad = r * np.einsum("bij,bj,bji->bi", base, r, inv_scaled)
+    grad[:, :n_selected] -= 1.0
     # exactly 0 at observed positions: P(Y | Y_obs) does not depend on their
     # qualities (row and column i of L + I_mask scale with q_i)
-    grad[obs] = 0.0
-    grad[kernel.qualities.clamp_active] = 0.0
+    grad[:, :n_observed] = 0.0
+    grad[np.abs(raw) >= RAW_SCORE_CLAMP] = 0.0
     return grad
 
 
@@ -315,8 +319,8 @@ def set_log_likelihood_batch(
     likelihood over targets + negatives is (T, 0) and the conditional one
     over previous + targets + negatives is (P + T, P).  Row b's value is
     log det(L_sel) - log det(L + I_mask), with I_mask the identity on the
-    positions past the conditioned prefix, as in `dsl_log_likelihood` and
-    `cdsl_log_likelihood`; its gradient is the one `grad_quality` gives.
+    positions past the conditioned prefix, as in `cdsl_log_likelihood`; its
+    gradient comes from `_score_gradient`, as `grad_quality`'s does.
 
     One Cholesky factorization of the stacked numerator blocks and one of
     the stacked normalizers give every log-det, and the inverse of the
@@ -349,18 +353,7 @@ def set_log_likelihood_batch(
         chol = np.linalg.cholesky(denom)
     except np.linalg.LinAlgError:
         num, chol = _factor_rows(matrix, denom, n_selected)
-    # The row norms s of chol are sqrt(diag(denom)), so chol / s is the
-    # factor of the unit-diagonal S^-1 denom S^-1: its inverse is accurate
-    # whatever the spread of the qualities, and B = S^-1 inv_scaled S^-1.
-    s = np.linalg.norm(chol, axis=2)
-    inv_chol = np.linalg.inv(chol / s[:, :, None])
-    inv_scaled = inv_chol.transpose(0, 2, 1) @ inv_chol
-    # q_i (K_sub Q B)_ii = r_i (K_sub R inv_scaled)_ii with r = q / s
-    r = q / s
-    grad = r * np.einsum("bij,bj,bji->bi", base, r, inv_scaled)
-    grad[:, :n_selected] -= 1.0
-    grad[:, :n_observed] = 0.0  # exactly, as in grad_quality
-    grad[np.abs(raw) >= RAW_SCORE_CLAMP] = 0.0
+    grad = _score_gradient(base, q, raw, chol, n_selected, n_observed)
     skipped = num == -np.inf
     grad[skipped] = 0.0
     return np.where(skipped, -np.inf, num - _log_det_of_factor(chol)), grad

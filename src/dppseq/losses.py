@@ -8,9 +8,11 @@ only), then targets, then negatives.
 
 The `*_loss_batch` functions take a stack of same-layout instances, one per
 row, and are what training calls once per minibatch.  `ce_loss` and
-`bpr_loss` are their B=1 case.  `dsl_loss` and `cdsl_loss` stay the
-per-instance reference (`build_sequence_kernel`, the log-likelihood, then
-`grad_quality`) that the batched set losses are tested against.
+`bpr_loss` are their B=1 case.  `cdsl_loss` is one ground set's conditional
+loss through the per-instance chain (`build_sequence_kernel`, then
+`cdsl_log_likelihood`, then `grad_quality`), whose gradient runs the code
+the batched losses run; `dsl_loss` is `cdsl_loss` with no previous items.
+The brute-force oracle and finite-difference checks call them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .kernels import (
     QualityVector,
     build_sequence_kernel,
     cdsl_log_likelihood,
-    dsl_log_likelihood,
     grad_quality,
     set_log_likelihood_batch,
 )
@@ -147,30 +148,15 @@ def dsl_loss(
     kernel: DiversityKernelLowRank,
 ) -> LossResult:
     """Negative log probability of drawing the target set from the DPP over
-    targets + negatives.  Requires more than one target; with a single target
-    there is no in-set dependency to capture.
+    targets + negatives: `cdsl_loss` with no previous items.  Requires more
+    than one target; with a single target there is no in-set dependency to
+    capture.
     """
     if len(ground_set.targets) < 2:
         raise ValueError("set likelihood loss requires at least two targets")
-    if len(ground_set.previous) != 0:
-        ground_set = GroundSet(
-            previous=(),
-            targets=ground_set.targets,
-            negatives=ground_set.negatives,
-            user=ground_set.user,
-            time_step=ground_set.time_step,
-        )
-    scores = np.asarray(scores, dtype=float)
-    if scores.size != ground_set.size:
-        raise ValueError("score vector must cover targets and negatives")
-    quality = QualityVector.from_raw_scores(scores)
-    seq_kernel = build_sequence_kernel(quality, kernel, ground_set)
-    targets = seq_kernel.ground_set.target_positions
-    ll = dsl_log_likelihood(seq_kernel, targets)
-    if ll == -np.inf:
-        return LossResult(value=np.inf, grad_scores=np.zeros(scores.size), skipped=True)
-    grad = grad_quality(seq_kernel, selected=targets)
-    return LossResult(value=-ll, grad_scores=grad)
+    if ground_set.previous:
+        ground_set = GroundSet((), ground_set.targets, ground_set.negatives)
+    return cdsl_loss(ground_set, scores, kernel)
 
 
 def cdsl_loss(

@@ -7,11 +7,13 @@ numerical claim can be checked against an independent implementation.  No
 oracle here calls LAPACK (`np.linalg`), which the production path uses:
 
 - `principal_minor_dets` gives det(L_Y) for every subset Y of a ground set
-  at once.  For each size r it stacks the C(n, r) minors and runs Gaussian
-  elimination with partial pivoting over the whole stack in numpy.
-- `enumerate_normalizer` and `oracle_dpp_distribution` (and the conditional,
-  marginal and pair oracles built on it) sum and normalise those
-  determinants, so Sum_Y det(L_Y) = det(L + I) checks LAPACK against an
+  that holds a required set (all subsets when nothing is required) at once.
+  For each size r it stacks those minors and runs Gaussian elimination with
+  partial pivoting over the whole stack in numpy.
+- `enumerate_normalizer`, `oracle_dpp_distribution` and
+  `oracle_conditional_distribution` (and the marginal and pair oracles built
+  on the distribution) sum and normalise those determinants, so
+  Sum_{Y >= A} det(L_Y) = det(L + I_complement(A)) checks LAPACK against an
   independent computation.
 - `cofactor_det`, Laplace expansion in plain Python, is the small-n
   reference that tests check the elimination against.
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import DiversityKernelLowRank, SequenceKernel, _validate_positions
+from .kernels import DiversityKernelLowRank, SequenceKernel
 
 
 @dataclass
@@ -86,20 +88,28 @@ def _stack_dets(stack: np.ndarray) -> np.ndarray:
     return np.where(singular, 0.0, det)
 
 
-def principal_minor_dets(matrix: np.ndarray) -> dict[tuple[int, ...], float]:
-    """det(matrix[Y, Y]) of every subset Y of the positions, keyed by Y's
-    sorted positions in order of size, then lexicographically; the empty
-    subset gives 1.0.  Exponential in n; rejected above n = 15, and for a
-    non-finite matrix."""
+def principal_minor_dets(
+    matrix: np.ndarray, required: Sequence[int] = ()
+) -> dict[tuple[int, ...], float]:
+    """det(matrix[Y, Y]) of every subset Y of the positions that holds the
+    positions `required`, keyed by Y's sorted positions in order of size,
+    then lexicographically; the empty subset gives 1.0.  Only those subsets
+    are eliminated, each exactly as in the enumeration of all of them.
+    Exponential in n; rejected above n = 15, and for a non-finite matrix."""
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if n > 15:
         raise ValueError("ground set too large for 2^n enumeration")
     if not np.all(np.isfinite(a)):
         raise ValueError("array must not contain infs or NaNs")
-    dets: dict[tuple[int, ...], float] = {(): 1.0}
-    for r in range(1, n + 1):
-        subsets = list(combinations(range(n), r))
+    req = sorted(set(int(p) for p in required))
+    if req and (req[0] < 0 or req[-1] >= n):
+        raise ValueError("subset position out of range")
+    free = [p for p in range(n) if p not in req]
+    dets: dict[tuple[int, ...], float] = {}
+    for r in range(len(free) + 1):
+        # merging req into each combination keeps the lexicographic order
+        subsets = [tuple(sorted(req + list(c))) for c in combinations(free, r)]
         pos = np.array(subsets, dtype=np.intp)
         dets.update(zip(subsets, _stack_dets(a[pos[:, :, None], pos[:, None, :]]).tolist()))
     return dets
@@ -116,12 +126,7 @@ def enumerate_normalizer(kernel: SequenceKernel, required: Sequence[int] = ()) -
     With required empty this equals det(L + I).  Exponential in the ground-set
     size; rejected above n = 15.
     """
-    req = set(_validate_positions(kernel, required).tolist())
-    total = 0.0
-    for subset, det in principal_minor_dets(kernel.matrix).items():
-        if req.issubset(subset):
-            total += det
-    return total
+    return sum(principal_minor_dets(kernel.matrix, required).values())
 
 
 def oracle_dpp_distribution(kernel: SequenceKernel) -> dict[frozenset, float]:
@@ -137,13 +142,11 @@ def oracle_conditional_distribution(
     kernel: SequenceKernel, observed: Sequence[int]
 ) -> dict[frozenset, float]:
     """Distribution over supersets of `observed`, normalized among them."""
-    obs = frozenset(int(p) for p in observed)
-    dist = oracle_dpp_distribution(kernel)
-    supersets = {s: p for s, p in dist.items() if obs <= s}
-    total = sum(supersets.values())
+    dets = principal_minor_dets(kernel.matrix, observed)
+    total = sum(dets.values())
     if total <= 0:
         raise ValueError("observed set has zero probability mass")
-    return {s: p / total for s, p in supersets.items()}
+    return {frozenset(s): d / total for s, d in dets.items()}
 
 
 def oracle_marginal(kernel: SequenceKernel, position: int) -> float:

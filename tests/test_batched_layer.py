@@ -1,15 +1,17 @@
 """Property tests for the batched set-likelihood layer and batched training.
 
-Every batched result is checked against the per-instance reference path
-(`build_sequence_kernel` -> `cdsl_log_likelihood` -> `grad_quality`), the
-brute-force oracle, and its own B=1 calls, over random P/T/Z layouts, raw
-scores up to and past the +-30 clamp, and near-duplicate kernel rows.
+Every batched result is checked against a test-local closed form (LU
+factorizations of the equilibrated blocks, sharing no code with the
+program), the brute-force oracle, and its own B=1 calls, over random P/T/Z
+layouts, raw scores up to and past the +-30 clamp, and near-duplicate kernel
+rows.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,6 @@ from dppseq.kernels import (
     GroundSet,
     QualityVector,
     build_sequence_kernel,
-    cdsl_log_likelihood,
-    grad_quality,
     qualities_from_raw,
     set_log_likelihood_batch,
 )
@@ -57,14 +57,30 @@ def stacks(draw, max_n=8, max_batch=4, score_bound=35.0, near_duplicates=True):
 
 
 def reference(kernel, items, scores, P, T):
-    """Per-instance log-likelihood and loss gradient of one ground set."""
-    gs = GroundSet(previous=tuple(items[:P]), targets=tuple(items[P : P + T]),
-                   negatives=tuple(items[P + T :]))
-    sk = build_sequence_kernel(QualityVector.from_raw_scores(scores), kernel, gs)
-    observed = tuple(range(P))
-    selected = tuple(range(P + T))
-    ll = cdsl_log_likelihood(sk, observed, selected)
-    return ll, grad_quality(sk, selected=selected, conditioned=observed)
+    """Log-likelihood and loss gradient of one ground set in closed form:
+    log det(L_sel) - log det(A) with A = L + I_mask, and
+    (L A^-1)_ii - [i selected], zeroed at observed and clamped positions.
+    Both come from LU factorizations of the diagonally equilibrated blocks,
+    so they share no code with the program's Cholesky path."""
+    n = len(items)
+    q = np.exp(np.clip(scores, -RAW_SCORE_CLAMP, RAW_SCORE_CLAMP) / 2.0)
+    rows = kernel.factors[items]
+    L = (rows @ rows.T) * np.outer(q, q)
+    A = L + np.diag([0.0] * P + [1.0] * (n - P))
+
+    def log_det(m):
+        s = np.sqrt(np.diag(m))
+        lu, _ = la.lu_factor(m / np.outer(s, s))
+        return np.sum(np.log(np.abs(np.diag(lu)))) + 2.0 * np.sum(np.log(s))
+
+    s = np.sqrt(np.diag(A))
+    inv_scaled = la.lu_solve(la.lu_factor(A / np.outer(s, s)), np.eye(n))
+    # (L A^-1)_ii = sum_j (S^-1 L S^-1)_ij (S A^-1 S)_ji
+    grad = np.sum((L / np.outer(s, s)) * inv_scaled.T, axis=1)
+    grad[: P + T] -= 1.0
+    grad[:P] = 0.0
+    grad[np.abs(scores) >= RAW_SCORE_CLAMP] = 0.0
+    return log_det(L[: P + T, : P + T]) - log_det(A), grad
 
 
 def scaled_cond(matrix):

@@ -19,21 +19,18 @@ from dppseq.kernels import (
     dsl_log_likelihood,
     grad_quality,
     log_det_psd,
+    set_log_likelihood_batch,
 )
 from dppseq.oracle import cofactor_det, enumerate_normalizer, identity_kernel, oracle_fd_gradient
 
 from conftest import random_sequence_kernel, random_unit_row_kernel
 
 
-def make_kernel(matrix, n_targets=1):
+def make_kernel(matrix):
+    """A sequence kernel over `matrix` itself: base `matrix`, zero raw scores."""
     matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    gs = GroundSet(
-        previous=(),
-        targets=tuple(range(n_targets)),
-        negatives=tuple(range(n_targets, n)),
-    )
-    return SequenceKernel(matrix=matrix, ground_set=gs)
+    zeros = QualityVector.from_raw_scores(np.zeros(matrix.shape[0]))
+    return SequenceKernel(matrix=matrix, base=matrix, qualities=zeros)
 
 
 class TestGroundSet:
@@ -42,7 +39,6 @@ class TestGroundSet:
         assert gs.items == (4, 5, 1, 2, 3)
         assert gs.previous_positions == (0, 1)
         assert gs.target_positions == (2,)
-        assert gs.negative_positions == (3, 4)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +57,6 @@ class TestQualityVector:
     def test_clamp(self):
         q = QualityVector.from_raw_scores([100.0, -100.0])
         assert np.allclose(q.qualities, [np.exp(15.0), np.exp(-15.0)])
-        assert q.clamp_active.tolist() == [True, True]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -148,7 +143,7 @@ class TestDslLogLikelihood:
         assert dsl_log_likelihood(sk, [0]) == pytest.approx(math.log(0.5))
 
     def test_diag_two_targets(self):
-        sk = make_kernel(np.eye(2), n_targets=2)
+        sk = make_kernel(np.eye(2))
         assert dsl_log_likelihood(sk, [0, 1]) == pytest.approx(math.log(0.25))
 
     def test_matches_enumeration(self, rng):
@@ -166,7 +161,7 @@ class TestDslLogLikelihood:
 
     def test_singular_target_minor_gives_neg_inf(self):
         # duplicated rows: the {0,1} minor is exactly singular
-        sk = make_kernel(np.ones((2, 2)), n_targets=2)
+        sk = make_kernel(np.ones((2, 2)))
         assert dsl_log_likelihood(sk, [0, 1]) == -np.inf
 
     def test_empty_targets_rejected(self, rng):
@@ -184,7 +179,7 @@ class TestCdslLogLikelihood:
         )
 
     def test_two_item_diag_example(self):
-        sk = make_kernel(np.eye(2), n_targets=2)
+        sk = make_kernel(np.eye(2))
         assert cdsl_log_likelihood(sk, [0], [0, 1]) == pytest.approx(math.log(0.5))
 
     def test_full_ground_set_probability_one(self, rng):
@@ -215,7 +210,7 @@ class TestEnumerateNormalizer:
         assert enumerate_normalizer(make_kernel([[1.0]])) == pytest.approx(2.0)
 
     def test_required_subset(self):
-        sk = make_kernel(np.eye(2), n_targets=2)
+        sk = make_kernel(np.eye(2))
         assert enumerate_normalizer(sk, required=[0]) == pytest.approx(2.0)
 
     def test_identity_with_det_l_plus_i(self, rng):
@@ -227,7 +222,7 @@ class TestEnumerateNormalizer:
         assert enumerate_normalizer(sk, required) == pytest.approx(expected, rel=1e-8)
 
     def test_too_large_rejected(self):
-        sk = make_kernel(np.eye(16), n_targets=16)
+        sk = make_kernel(np.eye(16))
         with pytest.raises(ValueError):
             enumerate_normalizer(sk)
 
@@ -269,6 +264,30 @@ class TestGradQuality:
             QualityVector.from_raw_scores([0.0]), identity_kernel(1), gs
         )
         assert abs(grad_quality(sk, selected=[0])[0]) == pytest.approx(0.5)
+
+    def test_equals_batch_row(self):
+        # the same code on a one-row stack: equal bit for bit, past the clamp too
+        for trial in range(50):
+            rng = np.random.default_rng(200 + trial)
+            P, T, Z = int(rng.integers(0, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            n = P + T + Z
+            kernel = random_unit_row_kernel(12, n + 2, rng)
+            items = rng.permutation(12)[:n]
+            raw = rng.uniform(-35.0, 35.0, size=n)
+            gs = GroundSet(items[:P], items[P : P + T], items[P + T :])
+            sk = build_sequence_kernel(QualityVector.from_raw_scores(raw), kernel, gs)
+            _, grad = set_log_likelihood_batch(kernel, items[None], raw[None], P + T, P)
+            assert np.array_equal(grad_quality(sk, range(P + T), range(P)), grad[0])
+
+    @pytest.mark.parametrize(
+        "selected, conditioned",
+        [([1, 2], []), ([0, 2], [0]), ([0, 1, 2], [1]), ([0, 1], [0, 1, 2])],
+        ids=["selected_not_prefix", "selected_gap", "conditioned_not_prefix", "conditioned_past_selected"],
+    )
+    def test_non_prefix_layout_rejected(self, selected, conditioned, rng):
+        sk = random_sequence_kernel(4, rng)
+        with pytest.raises(ValueError, match="first k positions"):
+            grad_quality(sk, selected, conditioned)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -345,7 +364,7 @@ class TestInvariants:
             p = np.asarray(perm)
             matrix = sk.matrix[np.ix_(p, p)]
             remap = {old: new for new, old in enumerate(perm)}
-            sk2 = make_kernel(matrix, n_targets=4)
+            sk2 = make_kernel(matrix)
             assert dsl_log_likelihood(sk2, [remap[t] for t in targets]) == pytest.approx(
                 base_dsl, abs=1e-10
             )
@@ -358,5 +377,5 @@ class TestInvariants:
         full = enumerate_normalizer(sk)
         for drop in range(6):
             keep = [p for p in range(6) if p != drop]
-            reduced = make_kernel(sk.matrix[np.ix_(keep, keep)], n_targets=5)
+            reduced = make_kernel(sk.matrix[np.ix_(keep, keep)])
             assert enumerate_normalizer(reduced) <= full + 1e-9

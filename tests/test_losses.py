@@ -4,13 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppseq.kernels import (
+    RAW_SCORE_CLAMP,
     GroundSet,
     QualityVector,
     build_sequence_kernel,
 )
-from dppseq.losses import bpr_loss, cdsl_loss, ce_loss, dsl_loss
+from dppseq.losses import (
+    bpr_loss,
+    cdsl_loss,
+    cdsl_loss_batch,
+    ce_loss,
+    ce_loss_batch,
+    dsl_loss,
+    dsl_loss_batch,
+)
 from dppseq.oracle import identity_kernel, oracle_conditional_distribution, oracle_fd_gradient
 
 from conftest import random_unit_row_kernel
@@ -153,3 +164,44 @@ class TestCdslLoss:
         result = cdsl_loss(gs, raw, kernel)
         fd = oracle_fd_gradient(lambda r: cdsl_loss(gs, r, kernel).value, raw)
         assert max_rel_err(result.grad_scores, fd) < 1e-4
+
+
+@st.composite
+def identity_kernel_stacks(draw, n_items=12):
+    """A (B, P + T + Z) stack of ground sets of one random layout and scores
+    in [-30, 30], some exactly at the clamp, as (items, scores, P, T)."""
+    P = draw(st.integers(0, 3))
+    T = draw(st.integers(1, 3))
+    Z = draw(st.integers(0, 3))
+    B = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items = np.stack([rng.permutation(n_items)[: P + T + Z] for _ in range(B)])
+    scores = rng.uniform(-RAW_SCORE_CLAMP, RAW_SCORE_CLAMP, size=items.shape)
+    at_clamp = rng.random(items.shape) < draw(st.sampled_from([0.0, 0.25, 0.75]))
+    scores[at_clamp] = rng.choice([-RAW_SCORE_CLAMP, RAW_SCORE_CLAMP], size=at_clamp.sum())
+    return items, scores, P, T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(identity_kernel_stacks())
+def test_set_losses_with_identity_kernel_are_ce(case):
+    # with K = I, q^2 / (1 + q^2) = sigmoid(r) makes the set likelihood the
+    # binary cross-entropy, and the conditioned rows cancel; past the clamp
+    # the losses differ by design, so no score goes beyond it
+    items, scores, P, T = case
+    kernel = identity_kernel(12)
+    ce = ce_loss_batch(scores[:, P : P + T], scores[:, P + T :])
+    live = np.abs(scores[:, P:]) < RAW_SCORE_CLAMP
+    cdsl = cdsl_loss_batch(kernel, items, scores, P, T)
+    assert np.all(cdsl.grad_scores[:, :P] == 0.0)
+    set_losses = [(cdsl.values, cdsl.grad_scores[:, P:])]
+    if T >= 2:
+        dsl = dsl_loss_batch(kernel, items[:, P:], scores[:, P:], T)
+        set_losses.append((dsl.values, dsl.grad_scores))
+    for values, grad in set_losses:
+        # relative to max(1, |value|): with every score at the clamp on its
+        # own side the value is ~1e-13, a difference of log-dets of about
+        # 30 n, so rounding bounds only its absolute error at that scale
+        assert np.all(np.abs(values - ce.values) <= 1e-12 * np.maximum(1.0, np.abs(ce.values)))
+        assert np.all(np.abs(grad - ce.grad_scores)[live] <= 1e-12)
+        assert np.all(grad[~live] == 0.0)

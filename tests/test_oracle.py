@@ -1,16 +1,20 @@
 """Sanity checks on the brute-force oracles themselves."""
 
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
+import dppseq
 from dppseq.kernels import log_det_psd
 from dppseq.oracle import (
     cofactor_det,
     compare_gradients,
     enumerate_normalizer,
+    oracle_conditional_distribution,
     oracle_dpp_distribution,
     oracle_fd_gradient,
     principal_minor_dets,
@@ -72,9 +76,33 @@ def test_principal_minor_dets_exact_cases():
     assert dets[(1, 2)] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_required_subsets_equal_the_full_enumeration(rng):
+    # the same rows of the same eliminations: equal bit for bit, in order
+    for n in range(7):
+        A = rng.standard_normal((n, n))
+        for matrix in (A @ A.T + 0.1 * np.eye(n), A):
+            every = principal_minor_dets(matrix)
+            for k in range(n + 1):
+                required = sorted(rng.choice(n, size=k, replace=False).tolist())
+                want = [(s, d) for s, d in every.items() if set(required) <= set(s)]
+                got = principal_minor_dets(matrix, rng.permutation(required).tolist())
+                assert list(got) == [s for s, _ in want]
+                assert np.array_equal(np.array(list(got.values())), np.array([d for _, d in want]))
+
+
+def test_required_positions_out_of_range_rejected():
+    for required in ([3], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            principal_minor_dets(np.eye(3), required)
+
+
 def test_enumeration_oracles_call_no_lapack(rng, monkeypatch):
     kernel = random_sequence_kernel(6, rng)
     want = la.det(kernel.matrix + np.eye(6))
+    mask = np.ones(6)
+    mask[[1, 4]] = 0.0
+    observed = kernel.matrix[np.ix_([1, 4], [1, 4])]
+    want_cond = la.det(observed) / la.det(kernel.matrix + np.diag(mask))
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg called")
@@ -83,6 +111,26 @@ def test_enumeration_oracles_call_no_lapack(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert enumerate_normalizer(kernel) == pytest.approx(want, rel=1e-10)
     assert sum(oracle_dpp_distribution(kernel).values()) == pytest.approx(1.0, abs=1e-12)
+    cond = oracle_conditional_distribution(kernel, [4, 1])
+    assert sum(cond.values()) == pytest.approx(1.0, abs=1e-12)
+    assert cond[frozenset([1, 4])] == pytest.approx(want_cond, rel=1e-9)
+
+
+def test_production_modules_do_not_import_the_oracle():
+    # the oracle is an independent check only while nothing it checks uses it
+    package = Path(dppseq.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert "oracle" not in name.split("."), f"{path.name} imports {name}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -102,7 +150,7 @@ def test_distribution_single_item():
 
 
 def test_distribution_uniform_diag():
-    dist = oracle_dpp_distribution(make_kernel(np.eye(2), n_targets=2))
+    dist = oracle_dpp_distribution(make_kernel(np.eye(2)))
     assert len(dist) == 4
     for p in dist.values():
         assert p == pytest.approx(0.25)
