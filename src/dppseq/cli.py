@@ -64,9 +64,7 @@ class ExperimentConfig:
     out: str = "out"
 
     def resolve(self) -> "ExperimentConfig":
-        for name, low in _LOWEST.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        data_mod.check_lowest(self, _LOWEST)
         for name in ("losses", "n_list"):
             entries = getattr(self, name)
             if not entries or len(set(entries)) < len(entries):
@@ -173,14 +171,16 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _load_prepared(config: ExperimentConfig):
-    out = _out_dir(config)
-    filtered = out / "filtered.csv"
+def _load_filtered(config: ExperimentConfig) -> data_mod.InteractionLog:
+    filtered = _out_dir(config) / "filtered.csv"
     if not filtered.exists():
         raise FileNotFoundError(f"{filtered} missing; run `prepare` first")
-    log_ = data_mod.load_interactions(filtered)
-    split = data_mod.temporal_split(log_, config.T)
-    return log_, split
+    return data_mod.load_interactions(filtered)
+
+
+def _load_prepared(config: ExperimentConfig):
+    log_ = _load_filtered(config)
+    return log_, data_mod.temporal_split(log_, config.T)
 
 
 def _write_instances(path: Path, config: ExperimentConfig, instances: Instances) -> None:
@@ -237,7 +237,7 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
 
 def cmd_train_kernel(config: ExperimentConfig) -> None:
     out = _out_dir(config)
-    log_, _ = _load_prepared(config)
+    n_items = _load_filtered(config).n_items
     sets_path = out / "diverse_sets.tsv"
     if not sets_path.exists():
         raise FileNotFoundError(f"{sets_path} missing; run `gen-sets` first")
@@ -249,7 +249,7 @@ def cmd_train_kernel(config: ExperimentConfig) -> None:
         l2_reg=config.kernel_l2,
         seed=config.seed,
     )
-    kernel, history = kl_mod.train_kernel(pairs, log_.n_items, kcfg)
+    kernel, history = kl_mod.train_kernel(pairs, n_items, kcfg)
     kernel = kl_mod.normalize_kernel(kernel, seed=config.seed)
     kl_mod.save_kernel(out / "kernel.txt", kernel)
     body = "epoch,objective\n" + "\n".join(

@@ -92,6 +92,15 @@ def default_lengths(T: int) -> tuple[int, int]:
     return 6, T
 
 
+def check_lowest(settings, lowest: dict) -> None:
+    """Raise ValueError naming the first field of `settings`, in the order of
+    `lowest`, whose value is below its lowest value there or is NaN."""
+    for name, low in lowest.items():
+        value = getattr(settings, name)
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _codes(labels: Sequence) -> tuple[list, np.ndarray]:
     """The distinct labels in order of first appearance, and the index of
     each label among them."""

@@ -18,7 +18,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import losses as losses_mod
-from .data import Instances, SequenceInstance, SplitResult, read_checkpoint, write_checkpoint
+from .data import (
+    Instances,
+    SequenceInstance,
+    SplitResult,
+    check_lowest,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .kernels import DiversityKernelLowRank
 from .metrics import (
     RANK_BLOCK_USERS,
@@ -203,6 +210,11 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        # a rate of 0 trains with the parameters held fixed; the CLI's
+        # `scorer_lr` must be > 0
+        check_lowest(self, dict(learning_rate=0, batch_size=1, max_epochs=1, patience=1, seed=0))
 
 
 @dataclass

@@ -744,7 +744,7 @@ def test_sets_file_matches_the_frozenset_path(sets_dir, lines):
     assert [p.user for p in pairs] == [user for user, _, _ in old]
     groups, want = _group_sets(pairs), frozenset_group_sets(old)
     assert [g[0].shape for g in groups] == [w[0].shape for w in want]
-    for (items, signs), (want_items, want_signs) in zip(groups, want):
+    for (items, signs, _), (want_items, want_signs) in zip(groups, want):
         assert items.dtype == want_items.dtype and np.array_equal(items, want_items)
         assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
     dump_paired_sets(pairs, sets_dir / "new.tsv")

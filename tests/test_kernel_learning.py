@@ -12,8 +12,10 @@ from dppseq.kernel_learning import (
     BLOCK_SETS,
     JITTER,
     KernelTrainConfig,
+    _SetGroup,
     _group_sets,
     _objective_and_gradient,
+    _scatter_plans,
     load_kernel,
     normalize_kernel,
     paired_set_objective,
@@ -114,6 +116,27 @@ def random_pairs(rng, sizes, n_items):
     return pairs
 
 
+def add_at_reference(V, groups, l2_reg, jitter):
+    """The blocked evaluation with fresh temporaries and one `np.add.at`
+    scatter per block: the arithmetic that `_objective_and_gradient` must
+    reproduce bit for bit."""
+    total = 0.0
+    grad = np.zeros_like(V)
+    for items, signs, _ in groups:
+        for start in range(0, len(items), BLOCK_SETS):
+            block = items[start : start + BLOCK_SETS]
+            block_signs = signs[start : start + BLOCK_SETS]
+            rows = V[block]
+            gram = rows @ rows.transpose(0, 2, 1) + jitter * np.eye(block.shape[1])
+            chol = np.linalg.cholesky(gram)
+            inv_chol = np.linalg.inv(chol)
+            solved = inv_chol.transpose(0, 2, 1) @ (inv_chol @ rows)
+            np.add.at(grad, block, (2.0 * block_signs)[:, None, None] * solved)
+            log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+            total += float(block_signs @ log_dets)
+    return total - l2_reg * float(np.sum(V * V)), grad - 2.0 * l2_reg * V
+
+
 class TestBlockedObjective:
     def test_matches_per_set_reference(self, rng):
         # ragged sizes with singletons; the 5-item group spans several
@@ -137,6 +160,53 @@ class TestBlockedObjective:
             assert paired_set_objective(kernel, pairs, l2, jitter) == obj
             assert np.array_equal(objective_gradient(V, pairs, l2, jitter), grad)
 
+    @pytest.mark.parametrize(
+        "n_items, skew, min_layers", [(200, 0.6, 12), (60, 0.0, 12), (1200, 0.0, 2)]
+    )
+    def test_equals_the_add_at_scatter_exactly(self, rng, n_items, skew, min_layers):
+        # ragged sizes, groups of several blocks that end in a partial one,
+        # and draws weighted by rank^-skew: a 200-item catalog then repeats
+        # items over a dozen times or more in a block of 5-item sets
+        weights = np.arange(1, n_items + 1) ** -skew
+        probs = weights / weights.sum()
+        V = 0.3 * rng.standard_normal((n_items, 32))
+        sizes = [5] * (2 * BLOCK_SETS + 41) + [1] * 9 + [3] * 70 + [8] * (BLOCK_SETS + 3)
+        pairs = [
+            pair(u, *([rng.choice(n_items, k, replace=False, p=probs)] for _ in "pn"))
+            for u, k in enumerate(rng.permutation(sizes))
+        ]
+        groups = _group_sets(pairs)
+        assert sum(len(g.items) > BLOCK_SETS and len(g.items) % BLOCK_SETS > 0 for g in groups) == 3
+        for items, _, blocks in groups:
+            assert len(blocks) == -(-len(items) // BLOCK_SETS)
+            for start, (order, ends) in zip(range(0, len(items), BLOCK_SETS), blocks):
+                flat = items[start : start + BLOCK_SETS].ravel()
+                assert np.array_equal(np.sort(order), np.arange(flat.size))
+                # nonempty layers, none larger than the one before
+                layer_sizes = np.diff([0, *ends])
+                assert ends[-1] == flat.size and layer_sizes[-1] > 0
+                assert np.all(np.diff(layer_sizes) <= 0)
+                previous = None
+                for layer in map(slice, [0, *ends[:-1]], ends):
+                    assert np.all(np.diff(order[layer]) > 0)  # slot order
+                    layer_items = flat[order[layer]]
+                    assert np.unique(layer_items).size == layer_items.size
+                    # an item's (r+1)-th slot comes after its r-th
+                    assert previous is None or set(layer_items) <= previous
+                    previous = set(layer_items)
+        assert max(len(ends) for g in groups for _, ends in g.blocks) >= min_layers
+        for l2, jitter in ((0.0, 0.0), (0.03, 1e-4)):
+            obj, grad = _objective_and_gradient(V, groups, l2, jitter)
+            want_obj, want_grad = add_at_reference(V, groups, l2, jitter)
+            assert obj == want_obj
+            assert np.array_equal(grad, want_grad)
+
+    def test_item_outside_the_factor_rows_rejected(self, rng):
+        pairs = [pair(0, [{0, 9}], [{1, 2}])]
+        paired_set_objective(DiversityKernelLowRank(rng.standard_normal((10, 3))), pairs)
+        with pytest.raises(ValueError, match="9-item catalog"):
+            paired_set_objective(DiversityKernelLowRank(rng.standard_normal((9, 3))), pairs)
+
     def test_oversized_set_without_jitter_is_a_numerical_failure(self, rng):
         # a 4-item set has a singular Gram at rank 3: FloatingPointError
         # (exit 4 from the CLI), not LinAlgError, which is a ValueError.
@@ -157,7 +227,8 @@ class TestBlockedObjective:
 
         def peak(n_sets):
             items = np.sort([rng.choice(300, 8, replace=False) for _ in range(n_sets)], axis=1)
-            groups = [(items, np.where(np.arange(n_sets) % 2, -1.0, 1.0))]
+            signs = np.where(np.arange(n_sets) % 2, -1.0, 1.0)
+            groups = [_SetGroup(items, signs, _scatter_plans(items))]
             _objective_and_gradient(V, groups, 0.01, 1e-6)  # warm caches
             tracemalloc.start()
             try:
@@ -233,6 +304,27 @@ class TestTrainKernel:
         train_kernel([pair(0, [{0, 9}], [{1, 2}])], 10, config)
         with pytest.raises(ValueError, match="catalog"):
             train_kernel([pair(0, [{0, 10}], [{1, 2}])], 10, config)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("l2_reg", -1.0),
+            ("l2_reg", float("nan")),
+            ("epochs", 0),
+            ("epochs", -3),
+            ("latent_dim", 0),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_config_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            KernelTrainConfig(**{field: value})
+
+    def test_config_bounds_accepted(self):
+        KernelTrainConfig(latent_dim=1, learning_rate=1e-12, epochs=1, l2_reg=0.0, seed=0)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

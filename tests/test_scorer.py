@@ -324,6 +324,26 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_params(1, 5, d=2), toy_instances(), "hinge", None, TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", -1.0),
+            ("batch_size", 0),
+            ("max_epochs", 0),
+            ("patience", 0),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_config_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            TrainConfig(**{field: value})
+
+    def test_config_bounds_accepted(self):
+        # a rate of 0 holds the parameters fixed, as the early-stopping
+        # checks of the acceptance suite train
+        TrainConfig(learning_rate=0.0, batch_size=1, max_epochs=1, patience=1, seed=0)
+
     @pytest.mark.parametrize("loss_kind", ["bpr", "dsl", "cdsl"])
     def test_other_losses_train(self, loss_kind, rng):
         instances = toy_instances()
