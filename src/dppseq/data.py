@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -144,24 +145,60 @@ def _build_log(
 
 
 def load_interactions(path) -> InteractionLog:
-    """Parse the interaction CSV into a densely indexed log."""
+    """Parse the interaction CSV into a densely indexed log.
+
+    The fields `csv.reader` reads are gathered into four columns, which are
+    checked at once.  If a check fails, the file is read again row by row,
+    so that the error names the malformed lines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            columns = _columns(csv.reader(fh))
+            if columns is None:
+                fh.seek(0)
+                return _load_rows(csv.reader(fh))
+        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+            raise ValueError(f"{path}: {exc}") from None
+    return _build_log(*columns)
+
+
+def _columns(reader) -> tuple[list[str], list[str], np.ndarray, list[str]] | None:
+    """The four columns of the rows after a CSV's header, with the
+    timestamps as int64; None when a row does not hold four fields, an id
+    or a category list is empty, or a timestamp is not an `int` of 64 bits."""
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != EXPECTED_HEADER:
+        raise ValueError(f"expected header {','.join(EXPECTED_HEADER)}")
+    fields: list[str] = []
+    widths = set()
+    for row in reader:  # [] for a blank line
+        widths.add(len(row))
+        fields += row
+    if not widths <= {0, 4}:
+        return None
+    users, items, stamps, categories = (fields[k::4] for k in range(4))
+    if "" in users or "" in items or not all(c.strip(";") for c in set(categories)):
+        return None
+    try:
+        return users, items, np.array(stamps, dtype=np.int64), categories  # `int` of each
+    except (ValueError, OverflowError):
+        return None
+
+
+def _load_rows(reader) -> InteractionLog:
+    """`load_interactions` row by row, for a file whose columns failed a check."""
     rows: list[tuple[str, str, int, str]] = []
     malformed: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EXPECTED_HEADER:
-            raise ValueError(f"expected header {','.join(EXPECTED_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                user_s, item_s, ts_s, cats_s = row
-                if not user_s or not item_s or not cats_s.strip(";"):
-                    raise ValueError
-                rows.append((user_s, item_s, int(ts_s), cats_s))
-            except ValueError:
-                malformed.append(lineno)
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            user_s, item_s, ts_s, cats_s = row
+            if not user_s or not item_s or not cats_s.strip(";"):
+                raise ValueError
+            rows.append((user_s, item_s, int(ts_s), cats_s))
+        except ValueError:
+            malformed.append(lineno)
     if malformed:
         raise ValueError(f"malformed lines: {malformed[:10]} ({len(malformed)} total)")
     try:
@@ -310,6 +347,22 @@ def write_split_manifest(path, split: SplitResult) -> None:
 def parse_int_rows(lines: Sequence[str], width: int, source) -> np.ndarray:
     """Lines of `width` tab- or comma-separated integers as a (len(lines),
     width) intp array.  Raises ValueError, naming `source`, on any other line."""
+    # numpy's C reader reads a subset of what `int` reads.  Lines it
+    # refuses, blank lines and lines that break in two take the field by
+    # field parse below, which reads what `int` reads and names the fault.
+    split = "\n".join(lines).replace(",", "\t").split("\n")
+    if lines and len(split) == len(lines) and "" not in split:
+        try:
+            with warnings.catch_warnings():
+                # older numpy read "2.5" or "1e3" as an integer through a
+                # float, with only a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(split, dtype=np.intp, delimiter="\t", comments=None, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            pass
+        else:
+            if rows.shape == (len(lines), width):
+                return rows
     # a "\n" field closes each line, so every line's field count shows
     fields = "\t\n\t".join([*lines, ""]).replace(",", "\t").split("\t")
     if len(fields) != len(lines) * (width + 1) + 1 or set(fields[width :: width + 1]) - {"\n"}:
@@ -328,8 +381,8 @@ def write_checkpoint(path, header: Sequence[int], arrays: Sequence[np.ndarray]) 
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{int(h)}\n" for h in header)
         for array in arrays:
-            for row in np.atleast_2d(array):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in np.atleast_2d(np.asarray(array, dtype=float)):
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_checkpoint(
@@ -337,17 +390,27 @@ def read_checkpoint(
 ) -> tuple[list[int], list[np.ndarray]]:
     """The header and the arrays of a checkpoint, with `shapes(header)` the
     shape of each array.  Raises ValueError when an array does not have its
-    shape or holds a non-finite value."""
+    shape, holds a blank line or a non-finite value, or when a line that is
+    not blank follows the last array."""
     with open(path, encoding="utf-8") as fh:
         header = [int(fh.readline()) for _ in range(n_header)]
         arrays = []
         for shape in shapes(header):
             lines = [fh.readline() for _ in range(shape[0] if len(shape) == 2 else 1)]
-            rows = np.asarray([[float(v) for v in line.split()] for line in lines])
+            # numpy's C reader skips blank lines, so a blank line fails the
+            # shape check; with no values at all, it would warn
+            if not any(map(str.strip, lines)):
+                raise ValueError(f"{path}: checkpoint shape does not match its header")
+            try:
+                rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             array = rows if len(shape) == 2 else rows[0]
             if array.shape != tuple(shape):
                 raise ValueError(f"{path}: checkpoint shape does not match its header")
             if not np.all(np.isfinite(array)):
                 raise ValueError(f"{path}: checkpoint holds non-finite values")
             arrays.append(array)
+        if fh.read().strip():
+            raise ValueError(f"{path}: checkpoint holds lines past its last array")
     return header, arrays

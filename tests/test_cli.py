@@ -1,5 +1,6 @@
 """End-to-end pipeline wiring, config parsing, and exit codes."""
 
+import csv
 import shutil
 
 import numpy as np
@@ -26,6 +27,21 @@ def generated_sets(tmp_path_factory, small_dataset):
     for stage in ("prepare", "gen-sets"):
         assert main(["--config", str(config), stage]) == 0
     return root / "out"
+
+
+@pytest.fixture(scope="module")
+def trained_ce(tmp_path_factory, small_dataset):
+    """An out directory after `prepare` and `train --loss ce`."""
+    root = tmp_path_factory.mktemp("trained")
+    config = config_file(root, small_dataset, root / "out")
+    for stage in (["prepare"], ["train", "--loss", "ce"]):
+        assert main(["--config", str(config), *stage]) == 0
+    return root / "out"
+
+
+def set_token(lines, row, edit):
+    row %= len(lines)
+    return lines[:row] + [" ".join(edit(lines[row].split()))] + lines[row + 1 :]
 
 
 def set_field(lines, row, field, value):
@@ -265,6 +281,35 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit",
         [
+            pytest.param(lambda lines: lines[:4] + [""] + lines[4:], id="blank_line"),
+            pytest.param(lambda lines: set_token(lines, 4, lambda t: t[:-1]), id="short_row"),
+            pytest.param(
+                lambda lines: set_token(lines, 4, lambda t: [*t, "0.5"]), id="extra_token"
+            ),
+            pytest.param(
+                lambda lines: set_token(lines, 4, lambda t: ["#" + t[0], *t[1:]]), id="hash"
+            ),
+            pytest.param(lambda lines: set_token(lines, -1, lambda t: t[:-1] + ["nan"]), id="nan"),
+            pytest.param(lambda lines: set_token(lines, 5, lambda t: ["-inf"] + t[1:]), id="inf"),
+            pytest.param(
+                lambda lines: [lines[0], f"{int(lines[1]) + 1}", *lines[2:]], id="more_rows"
+            ),
+            pytest.param(lambda lines: ["0"] + lines[1:], id="zero_rows"),
+            pytest.param(lambda lines: lines + lines[-1:], id="line_past_end"),
+        ],
+    )
+    def test_bad_checkpoint_is_data_error(self, tmp_path, trained_ce, edit):
+        out = tmp_path / "out"
+        shutil.copytree(trained_ce, out)
+        config = config_file(tmp_path, "unused.csv", out)
+        assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 0
+        lines = (out / "scorer_ce.txt").read_text().splitlines()
+        (out / "scorer_ce.txt").write_text("\n".join(edit(lines)) + "\n")
+        assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
             pytest.param(first_id(0, "-1"), id="id_-1"),
             pytest.param(first_id(0, "99999"), id="id_past_catalog"),
             pytest.param(first_id(1, "9" * 20), id="id_overflows"),
@@ -301,6 +346,14 @@ class TestExitCodes:
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,timestamp,categories\nu1,i1,notatime,c1\n")
+        config = config_file(tmp_path, bad, tmp_path / "out")
+        assert main(["--config", str(config), "prepare"]) == 3
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_field_past_the_csv_limit_is_data_error(self, tmp_path, quote):
+        bad = tmp_path / "bad.csv"
+        user = quote + "u" * (csv.field_size_limit() + 1) + quote
+        bad.write_text(f"user_id,item_id,timestamp,categories\n{user},i1,5,c1\n")
         config = config_file(tmp_path, bad, tmp_path / "out")
         assert main(["--config", str(config), "prepare"]) == 3
 

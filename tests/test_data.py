@@ -1,4 +1,8 @@
-"""Ingestion, k-core filtering, temporal splits, and instance generation."""
+"""Ingestion, k-core filtering, temporal splits, instance generation, and
+the checkpoint and integer-table text formats."""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from dppseq.data import (
     load_interactions,
     make_instances,
     parse_int_rows,
+    read_checkpoint,
     temporal_split,
     user_histories,
+    write_checkpoint,
     write_interactions,
     write_split_manifest,
 )
@@ -261,3 +267,163 @@ class TestParseIntRows:
     def test_other_fields_rejected(self, field):
         with pytest.raises(ValueError, match="^f: "):
             parse_int_rows(["0,1", f"1,{field}"], 2, "f")
+
+    @pytest.mark.parametrize("field", ["2.5", "4.0", "1e3", "9" * 20])
+    def test_integer_read_through_a_float_rejected(self, monkeypatch, field):
+        """Older numpy's `loadtxt` read such fields as integers through a
+        float, with only a DeprecationWarning; they still raise."""
+        loadtxt = np.loadtxt
+
+        def lenient(lines, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(lines, dtype=float, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # as outside a test run
+            with pytest.raises(ValueError, match="^f: "):
+                parse_int_rows(["0,1", f"1,{field}"], 2, "f")
+            assert parse_int_rows(["0,1", "1,-2"], 2, "f").tolist() == [[0, 1], [1, -2]]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 17])
+    def test_widths_and_negative_ids(self, width):
+        rng = np.random.default_rng(width)
+        want = rng.integers(-(2**63), 2**63 - 1, size=(40, width), endpoint=True)
+        want[0, :] = [-(2**63), 2**63 - 1, -1, 0][:width] + [7] * (width - 4)
+        seps = rng.choice(["\t", ","], size=(40, width))
+        lines = ["".join(map("{}{}".format, r, s))[:-1] for r, s in zip(want.tolist(), seps)]
+        rows = parse_int_rows(lines, width, "f")
+        assert rows.dtype == np.intp
+        assert rows.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["1\t2", "3\t4\t5"], "a line does not hold 2 fields"),
+            (["1\t2", "3"], "a line does not hold 2 fields"),
+            (["1\t", "3\t4"], "invalid literal"),
+            (["1\t2", "\t4"], "invalid literal"),
+            (["1\t2", "3\tx"], "invalid literal"),
+            (["1\t2", "3\t4.0"], "invalid literal"),
+            (["1\t2", "3\t" + "9" * 20], "too large"),
+        ],
+    )
+    def test_errors_name_their_source(self, lines, message):
+        with pytest.raises(ValueError, match=f"^instances.tsv: .*{message}"):
+            parse_int_rows(lines, 2, "instances.tsv")
+
+    def test_matches_the_int_parse_it_replaced(self):
+        """Random lines, some of them not integer rows: the rows, or the
+        error, of a split into fields and `np.array(fields, dtype=np.intp)`,
+        the parse that numpy's C reader replaced."""
+
+        def reference(lines, width, source):
+            fields = "\t\n\t".join([*lines, ""]).replace(",", "\t").split("\t")
+            bad = set(fields[width :: width + 1]) - {"\n"}
+            if len(fields) != len(lines) * (width + 1) + 1 or bad:
+                raise ValueError(f"{source}: a line does not hold {width} fields")
+            del fields[width :: width + 1], fields[-1]
+            try:
+                return np.array(fields, dtype=np.intp).reshape(len(lines), width)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{source}: {exc}") from None
+
+        odd = [" 12", "+3", "-0", "1_000", "\u0661\u0662", "\xa05"]  # read as `int` reads them
+        odd += ["", "x", "2.5", "1e3", "9" * 20]
+        rng = np.random.default_rng(19)
+
+        def token():
+            if rng.random() < 0.05:
+                return odd[rng.integers(len(odd))]
+            return f"{rng.integers(-50, 50)}"
+
+        outcomes = {"rows": 0, "error": 0, "odd_rows": 0}
+        for case in range(400):
+            width = int(rng.integers(1, 5))
+            lines = []
+            for _ in range(int(rng.integers(0, 6))):
+                n = width + int(rng.choice([0, 0, 0, 0, -1, 1]))
+                values = [token() for _ in range(max(n, 0))]
+                seps = rng.choice(["\t", ","], size=len(values))
+                lines.append("".join(v + c for v, c in zip(values, seps))[:-1])
+            try:
+                want = reference(lines, width, "f")
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    parse_int_rows(lines, width, "f")
+                assert str(got.value) == str(exc), (case, lines)
+                outcomes["error"] += 1
+                continue
+            got = parse_int_rows(lines, width, "f")
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (case, lines)
+            outcomes["rows"] += 1
+            outcomes["odd_rows"] += any(v in line for line in lines for v in odd[:6])
+        assert min(outcomes.values()) > 0, outcomes
+
+
+def kernel_shapes(header):
+    return [(header[0], header[1])]
+
+
+class TestCheckpoint:
+    VALUES = [
+        1e-4,
+        9.999999999999999e-05,
+        1e15,
+        1e16,
+        1e22,
+        5e-324,
+        2.2250738585072014e-308,
+        -0.0,
+        0.0,
+        1 / 3,
+    ]
+
+    def test_writes_repr_and_reads_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        random = bits.view(np.float64)
+        random = random[np.isfinite(random)][:99_000].reshape(990, 100)
+        fixed = np.array(self.VALUES)
+        path = tmp_path / "c.txt"
+        write_checkpoint(path, [990, 100, len(fixed)], [random, fixed])
+        want = ["990", "100", str(len(fixed))]
+        want += [" ".join(repr(float(v)) for v in row) for row in random]
+        want += [" ".join(repr(float(v)) for v in fixed)]
+        assert path.read_text() == "\n".join(want) + "\n"
+        header, (table, line) = read_checkpoint(path, 3, lambda h: [(h[0], h[1]), (h[2],)])
+        assert header == [990, 100, len(fixed)]
+        assert table.view(np.uint64).tolist() == random.view(np.uint64).tolist()
+        assert line.view(np.uint64).tolist() == fixed.view(np.uint64).tolist()
+
+    def test_trailing_blank_lines_read(self, tmp_path):
+        path = tmp_path / "c.txt"
+        write_checkpoint(path, [2, 3], [np.arange(6.0).reshape(2, 3)])
+        path.write_text(path.read_text() + "\n \n")
+        _, (table,) = read_checkpoint(path, 2, kernel_shapes)
+        assert table.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("2\n3\n0.0 1.0 2.0\n\n3.0 4.0 5.0\n", id="blank_line"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0\n", id="short_row"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0 6.0\n", id="extra_token"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 #5.0\n", id="hash"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0 # note\n", id="hash_comment"),
+            pytest.param("2\n3\n0.0 nan 2.0\n3.0 4.0 5.0\n", id="nan"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 -inf 5.0\n", id="inf"),
+            pytest.param("3\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n", id="more_rows_claimed"),
+            pytest.param("0\n3\n", id="zero_rows"),
+            pytest.param("0\n3\n\n", id="zero_rows_blank"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n6.0 7.0 8.0\n", id="line_past_end"),
+            pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n\nx\n", id="text_past_end"),
+        ],
+    )
+    def test_rejected(self, tmp_path, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                read_checkpoint(path, 2, kernel_shapes)

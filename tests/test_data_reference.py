@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from dppseq import data as data_mod
 from dppseq.cli import _read_instances, load_config
 from dppseq.cli import main as cli_main
 from dppseq.data import (
@@ -295,6 +296,126 @@ def test_matches_the_record_reference(tmp_path):
         assert instances.items.shape == (len(want_instances), L + T + Z)
         assert as_tuples(instances) == want_instances
     assert min(seen.values()) > 0, seen
+
+
+HEADER = ",".join(EXPECTED_HEADER)
+
+# Each file is read the way `csv.reader` reads it row by row, though the
+# loader checks its fields as columns: line ends, quoting, blank lines, and
+# `int` timestamps.
+INGEST_CASES = {
+    "quoted_comma": HEADER + '\n"u,1",i1,5,c1\n"u,1","i,2",6,c2\n',
+    "quoted_quote": HEADER + '\n"u""1",i1,5,c1\nu2,"i""2",6,"c1;c2"\n',
+    "quoted_newline": HEADER + '\n"u\n1",i1,5,c1\nu2,i2,6,c2\n',
+    "crlf": HEADER + "\r\nu1,i1,5,c1\r\nu2,i2,6,c2\r\n",
+    "lf": HEADER + "\nu1,i1,5,c1\nu2,i2,6,c2\n",
+    "bare_cr": HEADER + "\ru1,i1,5,c1\ru2,i2,6,c2\r",
+    "mixed_ends": HEADER + "\r\nu1,i1,5,c1\nu2,i2,6,c2\ru1,i2,7,c1\r\n",
+    "blank_lines": HEADER + "\n\nu1,i1,5,c1\n\n\nu2,i2,6,c2\n\n",
+    "blank_crlf_lines": HEADER + "\r\n\r\nu1,i1,5,c1\r\n\r\nu2,i2,6,c2\r\n\r\n",
+    "no_final_newline": HEADER + "\nu1,i1,5,c1\nu2,i2,6,c2",
+    "header_only": HEADER,
+    "header_and_blanks": HEADER + "\n\n\n",
+    "odd_timestamps": HEADER + "\nu1,i1, 12,c1\nu1,i2,+12,c1\nu2,i1,1_000,c2\nu2,i2,-3 ,c1\n",
+    "int64_bounds": HEADER + "\nu1,i1,9223372036854775807,c1\nu2,i2,-9223372036854775808,c1\n",
+    "int64_overflow": HEADER + "\nu1,i1,5,c1\nu2,i2,9223372036854775808,c2\n",
+    "int64_underflow": HEADER + "\nu1,i1,-9223372036854775809,c1\n",
+    "overflow_then_malformed": HEADER + "\nu1,i1,99999999999999999999,c1\nu2,i2,x,c2\n",
+    "malformed_rows": HEADER
+    + "\nu1,i1,5\nu1,i1,5,c1,x\n,i1,5,c1\nu1,,5,c1\nu1,i1,5,;;\nu1,i1,5,\nu1,i1,x,c1"
+    + "\nu1,i1,1.5,c1\nu1,i1,,c1\nu1,i1,5,c1\n",
+    "many_malformed": HEADER + "\nu1,i1,5,c1" + "\nu1,i1" * 12 + "\n",
+    "malformed_quoted": HEADER + '\n"u1",i1,5,c1\n"u2",i2,6\n\n"u3",i3,7,c1,\n',
+    "malformed_bare_cr": HEADER + "\ru1,i1,5,c1\ru2,i2,x,c1\r",
+}
+
+
+def messy_csv(rng):
+    """A random small file in the forms of INGEST_CASES: quoted or bare
+    fields, any line ends, blank lines, odd and malformed rows."""
+    users = ["u1", "u2", "u3", "u,4", 'u"5', " u6", "u\n7", ""]
+    items = ["i1", "i2", "i3", "i,4", "i 5", ""]
+    stamps = ["0", "7", "12", " 12", "+12", "1_000", "-3", "x", "1.5", "", "9223372036854775808"]
+    cats = ["c1", "c1;c2", "c2;;c1", ";c3", " c1", ";", ""]
+    quoted = rng.random() < 0.4
+    ends = ["\n", "\r\n", "\r", None][rng.integers(4)]
+    lines = [HEADER]
+    for _ in range(int(rng.integers(0, 12))):
+        pools = [users, items, stamps, cats]
+        row = [p[0] if rng.random() < 0.85 else p[rng.integers(len(p))] for p in pools]
+        row[0] = users[rng.integers(3)] if rng.random() < 0.5 else row[0]
+        if rng.random() < 0.05:
+            row = row[: rng.integers(4)] if rng.random() < 0.5 else row + ["x"]
+        if quoted:
+            quote = [rng.random() < 0.3 or bool(set(f) & set(',"\n')) for f in row]
+            row = ['"' + f.replace('"', '""') + '"' if q else f for f, q in zip(row, quote)]
+        lines.append(",".join(row))
+        if rng.random() < 0.1:
+            lines.append("")
+    text = ""
+    for line in lines:
+        text += line + (ends or ["\n", "\r\n", "\r"][rng.integers(3)])
+    return text if rng.random() < 0.7 else text.rstrip("\r\n")
+
+
+def reference_outcome(path):
+    """The reference log of the file, or the message of the error that
+    the loader raises on it, timestamps past 64 bits included."""
+    try:
+        log = reference_load_interactions(path)
+    except ValueError as exc:
+        return str(exc)
+    if any(not -(2**63) <= r.timestamp < 2**63 for r in log.records):
+        return "timestamps must fit in 64 bits"
+    return log
+
+
+def test_ingest_matches_the_reference_on_any_csv(tmp_path, monkeypatch):
+    ran = {"_columns": 0, "_load_rows": 0}
+
+    def counted(name):
+        run = getattr(data_mod, name)
+
+        def wrapper(*args):
+            ran[name] += 1
+            return run(*args)
+
+        return wrapper
+
+    for name in ran:
+        monkeypatch.setattr(data_mod, name, counted(name))
+    rng = np.random.default_rng(19)
+    cases = list(INGEST_CASES.items()) + [(f"messy_{k}", messy_csv(rng)) for k in range(300)]
+    outcomes = {"log": 0, "error": 0}
+    for name, text in cases:
+        path = tmp_path / "interactions.csv"
+        path.write_bytes(text.encode())
+        want = reference_outcome(path)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as got:
+                load_interactions(path)
+            assert str(got.value) == want, name
+            outcomes["error"] += 1
+        else:
+            rescans = ran["_load_rows"]
+            assert_logs_equal(load_interactions(path), want)
+            assert ran["_load_rows"] == rescans, name  # a well-formed file is read in one pass
+            outcomes["log"] += 1
+    assert min(ran.values()) > 0 and min(outcomes.values()) > 0, (ran, outcomes)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_field_past_the_csv_limit_is_a_value_error(tmp_path, quoted):
+    """`csv.reader` refuses a field longer than `csv.field_size_limit()`;
+    the loader names the file in a ValueError, quoted or not."""
+    user = "u" * (csv.field_size_limit() + 1)
+    if quoted:
+        user = f'"{user}"'
+    path = tmp_path / "interactions.csv"
+    path.write_text(f"{HEADER}\n{user},i1,5,c1\n")
+    with pytest.raises(ValueError, match="field larger than field limit") as got:
+        load_interactions(path)
+    assert str(path) in str(got.value)
 
 
 def test_prepare_writes_the_reference_files(tmp_path):
