@@ -14,8 +14,10 @@ import argparse
 import hashlib
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,16 +173,141 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _load_filtered(config: ExperimentConfig) -> data_mod.InteractionLog:
-    filtered = _out_dir(config) / "filtered.csv"
-    if not filtered.exists():
-        raise FileNotFoundError(f"{filtered} missing; run `prepare` first")
-    return data_mod.load_interactions(filtered)
+class Prepared(NamedTuple):
+    """What the stages after `prepare` read of the log: its sizes, its item x
+    category table and its split."""
+
+    n_users: int
+    n_items: int
+    item_categories: np.ndarray  # (M, C) bool
+    split: data_mod.SplitResult
 
 
-def _load_prepared(config: ExperimentConfig):
-    log_ = _load_filtered(config)
-    return log_, data_mod.temporal_split(log_, config.T)
+# the label lines of `split.tsv`: over its counts, its (item, category)
+# pairs and its (user, part, item) rows
+_SPLIT_LABELS = (
+    "n_users\tn_items\tn_categories\tn_pairs\tn_rows",
+    "item\tcategory",
+    "user\tpart\titem",
+)
+
+# rows formatted per write, which bounds the text held at once
+WRITE_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
+    """One line `line % row` per row of the nonnegative integer columns side
+    by side, `line` a template of `%d` fields, a block of rows at a time.
+    Each value and the separator after its field come from one table of such
+    strings for 0 to the largest value; the values are ids, counts and
+    positions, so the tables are no larger than the data."""
+    n_rows = len(columns[0])
+    if n_rows == 0:
+        return
+    if min(c.min() for c in columns) < 0:
+        raise ValueError("_write_rows writes nonnegative values only")
+    names = np.array(list(map(str, range(max(c.max() for c in columns) + 1))), dtype=object)
+    separators = (line + "\n").split("%d")[1:]
+    groups = [
+        (names + sep, [k for k, other in enumerate(separators) if other == sep])
+        for sep in dict.fromkeys(separators)
+    ]
+    for start in range(0, n_rows, WRITE_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
+        text = np.empty(block.shape, dtype=object)
+        for strings, fields in groups:
+            text[:, fields] = strings[block[:, fields]]
+        fh.write("".join(text.ravel().tolist()))
+
+
+def _write_split(
+    path: Path, config: ExperimentConfig, log_: data_mod.InteractionLog, split: data_mod.SplitResult
+) -> None:
+    """The log's sizes, its item x category table as (item, category) pairs
+    and its split as one (user, part, item) row per action, part 0 train,
+    1 validation and 2 test, in split order."""
+    parts = [part for seqs in zip(split.train, split.valid, split.test) for part in seqs]
+    lengths = np.fromiter(map(len, parts), np.intp, len(parts))
+    slots = np.repeat(np.arange(len(parts)), lengths)
+    items = np.fromiter(chain.from_iterable(parts), np.intp, slots.size)
+    pairs = np.argwhere(log_.item_categories)
+    counts = (log_.n_users, log_.n_items, log_.n_categories, len(pairs), len(items))
+    with open(path, "w", encoding="utf-8") as fh:
+        header = [_SPLIT_LABELS[0], "\t".join(map(str, counts)), _SPLIT_LABELS[1]]
+        fh.write(_stamp(config) + "\n".join(header) + "\n")
+        _write_rows(fh, "%d\t%d", [pairs])
+        fh.write(_SPLIT_LABELS[2] + "\n")
+        _write_rows(fh, "%d\t%d\t%d", [slots // 3, slots % 3, items])
+
+
+def _in_range(column: np.ndarray, n: int) -> bool:
+    return column.size == 0 or (column.min() >= 0 and column.max() < n)
+
+
+def _load_prepared(config: ExperimentConfig) -> Prepared:
+    """`prepare`'s `split.tsv`, checked as outside input: its counts match
+    its rows, every id is in range, the rows run in (user, part) order, and
+    each user kept holds T test items and the floor of 90% of the rest in
+    train.  Raises ValueError naming the file on any other content."""
+    path = _out_dir(config) / "split.tsv"
+    if not path.exists():
+        raise FileNotFoundError(f"{path} missing; run `prepare` first")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if lines and lines[0].startswith("#"):
+        del lines[0]
+    if lines[:1] != [_SPLIT_LABELS[0]] or len(lines) < 4:
+        raise ValueError(f"{path}: not a split file; run `prepare` again")
+    n_users, n_items, n_categories, n_pairs, n_rows = data_mod.parse_int_rows(
+        lines[1:2], 5, path
+    )[0].tolist()
+    if (
+        min(n_users, n_items, n_categories, n_pairs, n_rows) < 0
+        or len(lines) != 4 + n_pairs + n_rows
+        or (lines[2], lines[3 + n_pairs]) != _SPLIT_LABELS[1:]
+    ):
+        raise ValueError(f"{path}: the counts of its header do not match its rows")
+    pairs = data_mod.parse_int_rows(lines[3 : 3 + n_pairs], 2, path)
+    rows = data_mod.parse_int_rows(lines[4 + n_pairs :], 3, path)
+    users, parts, items = rows.T
+    if not (
+        _in_range(pairs[:, 0], n_items)
+        and _in_range(pairs[:, 1], n_categories)
+        and _in_range(users, n_users)
+        and _in_range(items, n_items)
+    ):
+        raise ValueError(f"{path}: an id is out of range")
+    if not _in_range(parts, 3):
+        raise ValueError(f"{path}: a part is not 0, 1 or 2")
+    keys = users * 3 + parts
+    if np.any(keys[1:] < keys[:-1]):
+        raise ValueError(f"{path}: its rows are not ordered by (user, part)")
+    item_categories = np.zeros((n_items, n_categories), dtype=bool)
+    item_categories[pairs[:, 0], pairs[:, 1]] = True
+    # every item and every category of the log comes from a row that lists
+    # at least one category
+    if not (item_categories.any(axis=1).all() and item_categories.any(axis=0).all()):
+        raise ValueError(f"{path}: an item or a category holds no pair")
+    counts = np.bincount(keys, minlength=3 * n_users).reshape(n_users, 3)
+    kept = counts.any(axis=1)
+    n_train, n_valid, n_test = counts[kept].T
+    if np.any(n_test != config.T):
+        raise ValueError(
+            f"{path}: a user holds other than T={config.T} test items; "
+            "run `prepare` again for this T"
+        )
+    head = n_train + n_valid
+    if np.any(head < 2) or np.any(n_train != np.floor(0.9 * head)):
+        raise ValueError(f"{path}: a user's train and validation items break the 90% rule")
+    seq = items.tolist()
+    ends = np.cumsum(counts.ravel()).tolist()
+    seqs = [seq[start:end] for start, end in zip([0, *ends], ends)]
+    split = data_mod.SplitResult(
+        train=seqs[0::3],
+        valid=seqs[1::3],
+        test=seqs[2::3],
+        dropped_users=np.flatnonzero(~kept).tolist(),
+    )
+    return Prepared(n_users, n_items, item_categories, split)
 
 
 def _write_instances(path: Path, config: ExperimentConfig, instances: Instances) -> None:
@@ -188,10 +315,10 @@ def _write_instances(path: Path, config: ExperimentConfig, instances: Instances)
     negatives as comma lists, then its time step, tab-separated."""
     L, T = instances.L, instances.T
     lists = [",".join(["%d"] * n) for n in (L, T, instances.items.shape[1] - L - T)]
-    line = "\t".join(["%d", *lists, "%d"])
-    table = np.column_stack([instances.users, instances.items, instances.time_steps]).tolist()
-    lines = ["user\tprevious\ttargets\tnegatives\ttime_step"] + [line % tuple(r) for r in table]
-    _write_stamped(path, config, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_stamp(config)}user\tprevious\ttargets\tnegatives\ttime_step\n")
+        columns = [instances.users, instances.items, instances.time_steps]
+        _write_rows(fh, "\t".join(["%d", *lists, "%d"]), columns)
 
 
 def _read_instances(path: Path, config: ExperimentConfig) -> Instances:
@@ -209,6 +336,7 @@ def cmd_prepare(config: ExperimentConfig) -> None:
     data_mod.write_interactions(out / "filtered.csv", log_)
     split = data_mod.temporal_split(log_, config.T)
     data_mod.write_split_manifest(out / "split_manifest.tsv", split)
+    _write_split(out / "split.tsv", config, log_, split)
     instances = data_mod.make_instances(
         split, log_.n_items, config.L, config.T, config.Z, seed=config.seed
     )
@@ -218,14 +346,14 @@ def cmd_prepare(config: ExperimentConfig) -> None:
 
 
 def cmd_gen_sets(config: ExperimentConfig) -> None:
-    log_, split = _load_prepared(config)
+    _, _, item_categories, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
     users = [u for u, train_items in enumerate(split.train) if train_items]
     pairs = ds_mod.draw_paired_sets(
         users,
         [list(dict.fromkeys(split.train[u])) for u in users],
         [histories[u] for u in users],
-        log_.item_categories,
+        item_categories,
         decay=config.decay,
         set_size=config.set_size,
         seed=config.seed,
@@ -237,7 +365,7 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
 
 def cmd_train_kernel(config: ExperimentConfig) -> None:
     out = _out_dir(config)
-    n_items = _load_filtered(config).n_items
+    n_items = _load_prepared(config).n_items
     sets_path = out / "diverse_sets.tsv"
     if not sets_path.exists():
         raise FileNotFoundError(f"{sets_path} missing; run `gen-sets` first")
@@ -261,7 +389,7 @@ def cmd_train_kernel(config: ExperimentConfig) -> None:
 
 def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
     out = _out_dir(config)
-    log_, split = _load_prepared(config)
+    n_users, n_items, _, split = _load_prepared(config)
     instances = _read_instances(out / "instances.tsv", config)
     kernel = None
     if loss_kind in ("dsl", "cdsl"):
@@ -269,9 +397,7 @@ def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
         if not kernel_path.exists():
             raise FileNotFoundError(f"{kernel_path} missing; run `train-kernel` first")
         kernel = kl_mod.load_kernel(kernel_path)
-    params = scorer_mod.init_params(
-        log_.n_users, log_.n_items, d=config.scorer_dim, seed=config.seed
-    )
+    params = scorer_mod.init_params(n_users, n_items, d=config.scorer_dim, seed=config.seed)
     tcfg = scorer_mod.TrainConfig(
         learning_rate=config.scorer_lr,
         batch_size=config.batch_size,
@@ -279,7 +405,7 @@ def cmd_train(config: ExperimentConfig, loss_kind: str) -> None:
         patience=config.patience,
         seed=config.seed,
     )
-    validate = lambda p: scorer_mod.validation_ndcg(p, split, log_.n_items, config.L)
+    validate = lambda p: scorer_mod.validation_ndcg(p, split, n_items, config.L)
     params, tlog = scorer_mod.train(params, instances, loss_kind, kernel, tcfg, validate)
     scorer_mod.save_params(out / f"scorer_{loss_kind}.txt", params)
     _write_train_log(out / f"train_log_{loss_kind}.csv", config, tlog)
@@ -314,7 +440,7 @@ def _read_train_log(path: Path) -> scorer_mod.TrainLog:
 
 def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:
     out = _out_dir(config)
-    log_, split = _load_prepared(config)
+    _, n_items, item_categories, split = _load_prepared(config)
     checkpoint = out / f"scorer_{loss_kind}.txt"
     if not checkpoint.exists():
         raise FileNotFoundError(f"{checkpoint} missing; run `train --loss {loss_kind}` first")
@@ -322,9 +448,9 @@ def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:
     table = scorer_mod.evaluate_model(
         params,
         split,
-        log_.n_items,
+        n_items,
         config.L,
-        log_.item_categories,
+        item_categories,
         N_list=config.n_list,
         loss_name=loss_kind,
     )
@@ -415,7 +541,7 @@ def main(argv=None) -> int:
             cmd_evaluate(config, args.loss)
         elif args.command == "report":
             cmd_report(config)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an OSError names the file it could not open
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SingularMatrixError, FloatingPointError) as exc:

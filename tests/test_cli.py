@@ -6,8 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from dppseq.cli import ExperimentConfig, load_config, main
-from dppseq.data import write_interactions
+from dppseq.cli import ExperimentConfig, _load_prepared, load_config, main
+from dppseq.data import load_interactions, temporal_split, write_interactions
 from dppseq.synthetic import make_synthetic_log
 
 
@@ -60,6 +60,74 @@ def first_id(row, value):
 
 def drop_last(ids):
     return ids[:-1]
+
+
+def assert_loads_the_filtered_split(out, config):
+    """`_load_prepared` gives, field by field, the sizes, item x category
+    table and split of `filtered.csv` under `config`."""
+    got = _load_prepared(config)
+    log = load_interactions(out / "filtered.csv")
+    want = temporal_split(log, config.T)
+    assert (got.n_users, got.n_items) == (log.n_users, log.n_items)
+    assert got.item_categories.dtype == bool
+    assert np.array_equal(got.item_categories, log.item_categories)
+    for name in ("train", "valid", "test", "dropped_users"):
+        assert getattr(got.split, name) == getattr(want, name), name
+    assert all(type(i) is int for seq in got.split.train for i in seq)
+
+
+def split_rows_at(lines):
+    """The index of the first (user, part, item) row of a `split.tsv`."""
+    return lines.index("user\tpart\titem") + 1
+
+
+def set_count(lines, field, change):
+    return set_field(lines, 2, field, str(int(lines[2].split("\t")[field]) + change))
+
+
+def count_of(lines, field):
+    return lines[2].split("\t")[field]
+
+
+def last_train_to_valid(lines):
+    """Moves the last train item of the first user to validation: the rows
+    stay ordered, and the user's train part falls below 90%."""
+    at = split_rows_at(lines)
+    first_valid = next(k for k in range(at, len(lines)) if lines[k].split("\t")[1] == "1")
+    return set_field(lines, first_valid - 1, 1, "1")
+
+
+SPLIT_EDITS = [
+    pytest.param(lambda lines: lines[:-1], id="truncated"),
+    pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]], id="truncated_row"),
+    pytest.param(lambda lines: set_count(lines, 4, 1), id="row_count_high"),
+    pytest.param(lambda lines: set_count(lines, 4, -1), id="row_count_low"),
+    pytest.param(lambda lines: set_count(lines, 3, -1), id="pair_count"),
+    pytest.param(lambda lines: lines[:1] + lines[2:], id="no_count_labels"),
+    pytest.param(
+        lambda lines: set_field(lines, len(lines) - 1, 2, count_of(lines, 1)), id="item_past_catalog"
+    ),
+    pytest.param(
+        lambda lines: set_field(lines, split_rows_at(lines), 0, "-1"), id="user_negative"
+    ),
+    pytest.param(
+        lambda lines: set_field(lines, len(lines) - 1, 0, count_of(lines, 0)), id="user_past_users"
+    ),
+    pytest.param(lambda lines: set_field(lines, 4, 1, count_of(lines, 2)), id="category_past_all"),
+    pytest.param(lambda lines: set_field(lines, 4, 0, "x"), id="item_not_int"),
+    pytest.param(lambda lines: set_count(lines[:4] + lines[5:], 3, -1), id="item_without_pair"),
+    pytest.param(lambda lines: set_field(lines, len(lines) - 1, 1, "3"), id="part_3"),
+    pytest.param(lambda lines: set_field(lines, len(lines) - 1, 1, "-1"), id="part_negative"),
+    pytest.param(
+        lambda lines: lines[: split_rows_at(lines)] + lines[-1:] + lines[split_rows_at(lines) : -1],
+        id="unordered_rows",
+    ),
+    pytest.param(lambda lines: set_count(lines[:-1], 4, -1), id="short_test_part"),
+    pytest.param(last_train_to_valid, id="train_under_90_percent"),
+    pytest.param(lambda lines: lines[:6] + [""] + lines[6:], id="blank_line"),
+    pytest.param(lambda lines: lines[:6] + [""] + lines[7:], id="blank_row"),
+    pytest.param(lambda lines: lines + [""], id="blank_last_line"),
+]
 
 
 def config_file(tmp_path, dataset, out, **extra):
@@ -343,6 +411,19 @@ class TestExitCodes:
         (out / "diverse_sets.tsv").write_text("\n".join(edit(lines)) + "\n")
         assert main(["--config", str(config), "train-kernel"]) == 3
 
+    @pytest.mark.parametrize(
+        ("name", "stage"),
+        [("instances.tsv", ["train", "--loss", "ce"]), ("split.tsv", ["gen-sets"])],
+    )
+    def test_unreadable_stage_file_is_data_error(self, tmp_path, trained_ce, capsys, name, stage):
+        out = tmp_path / "out"
+        shutil.copytree(trained_ce, out)
+        config = config_file(tmp_path, "unused.csv", out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        assert main(["--config", str(config), *stage]) == 3
+        assert str(out / name) in capsys.readouterr().err
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,timestamp,categories\nu1,i1,notatime,c1\n")
@@ -356,6 +437,53 @@ class TestExitCodes:
         bad.write_text(f"user_id,item_id,timestamp,categories\n{user},i1,5,c1\n")
         config = config_file(tmp_path, bad, tmp_path / "out")
         assert main(["--config", str(config), "prepare"]) == 3
+
+
+class TestSplitFile:
+    """`split.tsv`, the coded split `prepare` writes for the later stages."""
+
+    def test_fixtures_load_the_filtered_split(self, tmp_path, generated_sets, trained_ce):
+        for out in (generated_sets, trained_ce):
+            config = load_config(str(config_file(tmp_path, "unused.csv", out)), {})
+            assert_loads_the_filtered_split(out, config)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_users_dropped_as_too_short(self, tmp_path, small_dataset, T):
+        # copies of u0's first k rows under new users, one action a row: those
+        # with at most T+1 actions are dropped, and the split runs past them
+        lines = small_dataset.read_text().splitlines()
+        first = [ln for ln in lines[1:] if ln.startswith("u0,")]
+        extra = [f"short{k},{ln.split(',', 1)[1]}" for k in range(1, 6) for ln in first[:k]]
+        dataset = tmp_path / "short.csv"
+        dataset.write_text("\n".join(lines[:5] + extra + lines[5:]) + "\n")
+        out = tmp_path / "out"
+        config = config_file(tmp_path, dataset, out, T=T, k_core=1, losses="ce")
+        assert main(["--config", str(config), "prepare"]) == 0
+        loaded = load_config(str(config), {})
+        assert_loads_the_filtered_split(out, loaded)
+        dropped = _load_prepared(loaded).split.dropped_users
+        assert len(dropped) == T + 1  # short1 to short{T+1}
+
+    @pytest.mark.parametrize("edit", SPLIT_EDITS)
+    def test_malformed_split_file_is_data_error(self, tmp_path, trained_ce, capsys, edit):
+        out = tmp_path / "out"
+        shutil.copytree(trained_ce, out)
+        config = config_file(tmp_path, "unused.csv", out)
+        assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 0
+        lines = (out / "split.tsv").read_text().splitlines()
+        (out / "split.tsv").write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        for stage in (["gen-sets"], ["train-kernel"], ["evaluate", "--loss", "ce"]):
+            assert main(["--config", str(config), *stage]) == 3, stage
+            assert str(out / "split.tsv") in capsys.readouterr().err, stage
+
+    def test_t_changed_since_prepare_is_data_error(self, tmp_path, trained_ce, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained_ce, out)
+        config = config_file(tmp_path, "unused.csv", out, T=1)
+        assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 3
+        err = capsys.readouterr().err
+        assert str(out / "split.tsv") in err and "T=1" in err
 
 
 class TestPipeline:
@@ -377,6 +505,7 @@ class TestPipeline:
         for name in (
             "filtered.csv",
             "split_manifest.tsv",
+            "split.tsv",
             "instances.tsv",
             "diverse_sets.tsv",
             "kernel.txt",
@@ -399,6 +528,47 @@ class TestPipeline:
         for row in data_rows:
             values = row.split(",")[3:]
             assert all(0.0 <= float(v) <= 1.0 for v in values)
+
+    def test_later_stages_need_no_filtered_csv(self, tmp_path, small_dataset):
+        out = self.run_all(tmp_path, small_dataset, "run")
+        first = {p.name: p.read_text() for p in out.iterdir()}
+        shutil.rmtree(out)
+        config = ["--config", str(tmp_path / "config.txt")]
+        assert main(config + ["prepare"]) == 0
+        (out / "filtered.csv").unlink()
+        for stage in (["gen-sets"], ["train-kernel"]):
+            assert main(config + stage) == 0, stage
+        for loss in ("ce", "cdsl"):
+            assert main(config + ["train", "--loss", loss]) == 0, loss
+            assert main(config + ["evaluate", "--loss", loss]) == 0, loss
+        again = {p.name: p.read_text() for p in out.iterdir()}
+        assert set(again) == set(first) - {"filtered.csv", "report.csv", "efficiency.csv",
+                                           "validation_curves.csv"}
+        for name, text in again.items():
+            if name.startswith("train_log_"):  # all but the seconds column
+                assert [ln.rsplit(",", 1)[0] for ln in text.splitlines()] == [
+                    ln.rsplit(",", 1)[0] for ln in first[name].splitlines()
+                ], name
+            else:
+                assert text == first[name], name
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 10])
+    def test_rows_written_by_blocks(self, tmp_path, monkeypatch, n_rows):
+        # each block of 3 rows ends its last line, and the text is what the
+        # `%d` template writes, the largest value included
+        from dppseq import cli
+
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(n_rows)
+        columns = [rng.integers(0, 1000, n_rows), rng.integers(0, 12, (n_rows, 4)), np.arange(n_rows)]
+        line = "%d\t%d,%d,%d,%d\t%d"
+        path = tmp_path / "rows.tsv"
+        with open(path, "w") as fh:
+            cli._write_rows(fh, line, columns)
+        table = np.column_stack(columns).tolist()
+        assert path.read_text() == "".join(line % tuple(r) + "\n" for r in table)
+        with open(path, "w") as fh, pytest.raises(ValueError):
+            cli._write_rows(fh, "%d", [np.array([3, -1])])
 
     def test_train_log_round_trip(self, tmp_path):
         from dppseq.cli import _read_train_log, _write_train_log

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dppseq import data as data_mod
-from dppseq.cli import _read_instances, load_config
+from dppseq.cli import _load_prepared, _read_instances, load_config
 from dppseq.cli import main as cli_main
 from dppseq.data import (
     EXPECTED_HEADER,
@@ -450,3 +450,26 @@ def test_prepare_writes_the_reference_files(tmp_path):
     back = _read_instances(out / "instances.tsv", load_config(str(config), {}))
     assert (back.L, back.T) == (6, 2)
     assert as_tuples(back) == instances
+
+
+@pytest.mark.parametrize("case", ["quoted_comma", "quoted_quote", "quoted_newline", "crlf"])
+def test_prepared_split_matches_the_filtered_log(tmp_path, case):
+    """The split file `prepare` writes from quoted ids or CRLF line ends
+    gives the sizes, item x category table and split of `filtered.csv`.
+    The case's rows, four times over, give each user more than two actions."""
+    text = INGEST_CASES[case]
+    dataset = tmp_path / "interactions.csv"
+    dataset.write_bytes((HEADER + text[len(HEADER) :] * 4).encode())
+    out = tmp_path / "out"
+    config = tmp_path / "config.txt"
+    config.write_text(f"dataset={dataset}\nout={out}\nT=1\nk_core=1\nlosses=ce\n")
+    assert cli_main(["--config", str(config), "prepare"]) == 0
+    got = _load_prepared(load_config(str(config), {}))
+    log = load_interactions(out / "filtered.csv")
+    want = temporal_split(log, 1)
+    assert (got.n_users, got.n_items) == (log.n_users, log.n_items)
+    assert np.array_equal(got.item_categories, log.item_categories)
+    assert (got.split.train, got.split.valid, got.split.test, got.split.dropped_users) == (
+        want.train, want.valid, want.test, want.dropped_users
+    )
+    assert not want.dropped_users
