@@ -9,7 +9,7 @@ broader category coverage.
 import numpy as np
 
 from dppseq.data import make_instances, temporal_split, user_histories
-from dppseq.diverse_sets import build_paired_sets
+from dppseq.diverse_sets import build_paired_sets, paired_sets
 from dppseq.kernel_learning import KernelTrainConfig, normalize_kernel, train_kernel
 from dppseq.scorer import TrainConfig, evaluate_model, init_params, train, validation_ndcg
 from dppseq.synthetic import make_synthetic_log
@@ -23,11 +23,13 @@ print(f"{log.n_users} users, {log.n_items} items, {len(instances)} training inst
 
 # diverse sets -> diversity kernel (needed by the set losses)
 histories = user_histories(split)
-pairs = [
+drawn = [
     build_paired_sets(u, list(dict.fromkeys(tr)), histories[u], log.item_categories, seed=u)
     for u, tr in enumerate(split.train)
     if tr
 ]
+# each user's table joined into one table per set size, the form the fit takes
+pairs = paired_sets(*zip(*((t.users[0], t.positive, t.negative) for t in drawn)))
 kernel, _ = train_kernel(
     pairs, log.n_items, KernelTrainConfig(latent_dim=16, learning_rate=0.005, epochs=15, seed=0)
 )

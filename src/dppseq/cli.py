@@ -1,8 +1,12 @@
 """Command-line pipeline: raw CSV to metric tables comparing the four losses.
 
 Subcommands: prepare, gen-sets, train-kernel, train, evaluate, report.
-Every output file is stamped with the resolved-config hash and seed, and each
-stage is resumable from the files the previous stage wrote.
+Each stage is resumable from the files the previous stage wrote.  The tables
+written for reading back (`split.tsv`, `instances.tsv`, `config_resolved.txt`,
+`kernel_objective.csv`, the train logs, the metric tables and the report
+files) start with a stamp line of the resolved-config hash and seed;
+`filtered.csv`, `split_manifest.tsv`, `diverse_sets.tsv`, `kernel.txt` and
+the scorer checkpoints carry none.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure.
@@ -17,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,34 +195,6 @@ _SPLIT_LABELS = (
     "user\tpart\titem",
 )
 
-# rows formatted per write, which bounds the text held at once
-WRITE_BLOCK_ROWS = 4096
-
-
-def _write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
-    """One line `line % row` per row of the nonnegative integer columns side
-    by side, `line` a template of `%d` fields, a block of rows at a time.
-    Each value and the separator after its field come from one table of such
-    strings for 0 to the largest value; the values are ids, counts and
-    positions, so the tables are no larger than the data."""
-    n_rows = len(columns[0])
-    if n_rows == 0:
-        return
-    if min(c.min() for c in columns) < 0:
-        raise ValueError("_write_rows writes nonnegative values only")
-    names = np.array(list(map(str, range(max(c.max() for c in columns) + 1))), dtype=object)
-    separators = (line + "\n").split("%d")[1:]
-    groups = [
-        (names + sep, [k for k, other in enumerate(separators) if other == sep])
-        for sep in dict.fromkeys(separators)
-    ]
-    for start in range(0, n_rows, WRITE_BLOCK_ROWS):
-        block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
-        text = np.empty(block.shape, dtype=object)
-        for strings, fields in groups:
-            text[:, fields] = strings[block[:, fields]]
-        fh.write("".join(text.ravel().tolist()))
-
 
 def _write_split(
     path: Path, config: ExperimentConfig, log_: data_mod.InteractionLog, split: data_mod.SplitResult
@@ -235,9 +211,9 @@ def _write_split(
     with open(path, "w", encoding="utf-8") as fh:
         header = [_SPLIT_LABELS[0], "\t".join(map(str, counts)), _SPLIT_LABELS[1]]
         fh.write(_stamp(config) + "\n".join(header) + "\n")
-        _write_rows(fh, "%d\t%d", [pairs])
+        data_mod.write_rows(fh, "%d\t%d", [pairs])
         fh.write(_SPLIT_LABELS[2] + "\n")
-        _write_rows(fh, "%d\t%d\t%d", [slots // 3, slots % 3, items])
+        data_mod.write_rows(fh, "%d\t%d\t%d", [slots // 3, slots % 3, items])
 
 
 def _in_range(column: np.ndarray, n: int) -> bool:
@@ -318,7 +294,7 @@ def _write_instances(path: Path, config: ExperimentConfig, instances: Instances)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_stamp(config)}user\tprevious\ttargets\tnegatives\ttime_step\n")
         columns = [instances.users, instances.items, instances.time_steps]
-        _write_rows(fh, "\t".join(["%d", *lists, "%d"]), columns)
+        data_mod.write_rows(fh, "\t".join(["%d", *lists, "%d"]), columns)
 
 
 def _read_instances(path: Path, config: ExperimentConfig) -> Instances:
@@ -349,7 +325,7 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
     _, _, item_categories, split = _load_prepared(config)
     histories = data_mod.user_histories(split)
     users = [u for u, train_items in enumerate(split.train) if train_items]
-    pairs = ds_mod.draw_paired_sets(
+    tables = ds_mod.draw_paired_sets(
         users,
         [list(dict.fromkeys(split.train[u])) for u in users],
         [histories[u] for u in users],
@@ -358,9 +334,9 @@ def cmd_gen_sets(config: ExperimentConfig) -> None:
         set_size=config.set_size,
         seed=config.seed,
     )
-    ds_mod.dump_paired_sets(pairs, _out_dir(config) / "diverse_sets.tsv")
-    n_sets = sum(len(p.positive) for p in pairs)
-    print(f"generated {n_sets} paired diverse sets for {len(pairs)} users")
+    ds_mod.dump_paired_sets(tables, _out_dir(config) / "diverse_sets.tsv")
+    n_sets = sum(len(t.users) for t in tables)
+    print(f"generated {n_sets} paired diverse sets for {len(users)} users")
 
 
 def cmd_train_kernel(config: ExperimentConfig) -> None:
@@ -426,16 +402,18 @@ def _write_train_log(path: Path, config: ExperimentConfig, tlog: scorer_mod.Trai
 
 def _read_train_log(path: Path) -> scorer_mod.TrainLog:
     """The per-epoch columns of a `_write_train_log` file, at the precision
-    written."""
-    tlog = scorer_mod.TrainLog()
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#") or line == _TRAIN_LOG_HEADER:
-            continue
-        _, loss, ndcg, seconds = line.split(",")
-        tlog.epoch_loss.append(float(loss))
-        tlog.epoch_val_ndcg.append(float(ndcg))
-        tlog.epoch_seconds.append(float(seconds))
-    return tlog
+    written.  Raises ValueError naming the file on a malformed row or on no
+    rows."""
+    lines = path.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if ln and ln[0] != "#" and ln != _TRAIN_LOG_HEADER]
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError as exc:  # a field that is not a number, or rows of two widths
+        raise ValueError(f"{path}: {exc}") from None
+    if not rows or table.shape[1] != 4:
+        raise ValueError(f"{path}: the train log holds no epochs, or rows of other than 4 fields")
+    _, *columns = table.T.tolist()
+    return scorer_mod.TrainLog(*columns)
 
 
 def cmd_evaluate(config: ExperimentConfig, loss_kind: str) -> None:

@@ -344,6 +344,41 @@ def write_split_manifest(path, split: SplitResult) -> None:
             )
 
 
+# rows formatted per write, which bounds the text held at once
+WRITE_BLOCK_ROWS = 4096
+
+
+def write_rows(fh, line: str, columns: Sequence[np.ndarray]) -> None:
+    """One line `line % row` per row of the nonnegative integer columns side
+    by side, `line` a template of `%d` fields, a block of rows at a time.
+    Each value and the separator after its field come from one table of such
+    strings: for 0 to the largest value when that is no more values than the
+    columns hold, as for ids, counts and positions, else for the distinct
+    values."""
+    n_rows = len(columns[0])
+    if n_rows == 0:
+        return
+    if min(c.min() for c in columns) < 0:
+        raise ValueError("write_rows writes nonnegative values only")
+    top = max(c.max() for c in columns)
+    sparse = top >= sum(c.size for c in columns)
+    values = np.unique(np.concatenate([c.ravel() for c in columns])) if sparse else range(top + 1)
+    names = np.array(list(map(str, values)), dtype=object)
+    separators = (line + "\n").split("%d")[1:]
+    groups = [
+        (names + sep, [k for k, other in enumerate(separators) if other == sep])
+        for sep in dict.fromkeys(separators)
+    ]
+    for start in range(0, n_rows, WRITE_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
+        if sparse:
+            block = np.searchsorted(values, block)
+        text = np.empty(block.shape, dtype=object)
+        for strings, fields in groups:
+            text[:, fields] = strings[block[:, fields]]
+        fh.write("".join(text.ravel().tolist()))
+
+
 def parse_int_rows(lines: Sequence[str], width: int, source) -> np.ndarray:
     """Lines of `width` tab- or comma-separated integers as a (len(lines),
     width) intp array.  Raises ValueError, naming `source`, on any other line."""

@@ -24,13 +24,14 @@ same code on one user or one set.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from contextlib import suppress
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .data import parse_int_rows
+from .data import parse_int_rows, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -43,35 +44,82 @@ POSITIVE_BLOCK = 8  # positive sets drawn at once; those past full coverage are 
 # generators, which hold about 4 to 8 kB each
 BLOCK_ELEMENTS = 1 << 18
 GENERATOR_ELEMENTS = 1024
-PARSE_LINES = 1024  # sets-file lines parsed at once
+READ_LINES = 1 << 14  # sets-file lines read and parsed at once
 _NONE_TAKEN = np.iinfo(np.intp).max
 
 
-@dataclass
-class PairedDiverseSets:
-    """One user's sets as (S, k) arrays of item ids, row i of `negative` matched
-    to row i of `positive`; rows are sorted on entry and hold distinct ids >= 0."""
+class PairedSets(NamedTuple):
+    """The paired sets of one size k, as the kernel fit reads them: row 2i of
+    `sets` is pair i's positive set and row 2i+1 its matched negative, each
+    row ascending.  Pairs run in (user, draw) order.  A draw or a sets file
+    is a list of these tables, one per size, in ascending k."""
 
-    user: int
-    positive: np.ndarray
-    negative: np.ndarray
+    users: np.ndarray  # (P,) the user of each pair
+    sets: np.ndarray  # (2P, k) intp
 
-    def __post_init__(self):
-        self.positive, self.negative = pos, neg = [
-            np.sort(np.asarray(s, dtype=np.intp), axis=-1) for s in (self.positive, self.negative)
-        ]
-        if pos.ndim != 2 or pos.shape != neg.shape:
-            raise ValueError(f"unbalanced sets for user {self.user}: {pos.shape} vs {neg.shape}")
-        if _bad_rows(np.concatenate([pos, neg])).any():
-            raise ValueError(f"user {self.user}: a set holds a negative or repeated item id")
+    @property
+    def positive(self) -> np.ndarray:
+        return self.sets[0::2]
 
-    @classmethod
-    def _checked(cls, user: int, positive: np.ndarray, negative: np.ndarray):
-        """An entry of sorted (S, k) intp arrays that were checked in bulk, as
-        `__post_init__` checks one user's."""
-        pairs = cls.__new__(cls)
-        pairs.user, pairs.positive, pairs.negative = user, positive, negative
-        return pairs
+    @property
+    def negative(self) -> np.ndarray:
+        return self.sets[1::2]
+
+
+def paired_sets(
+    users: Sequence[int], positives: Sequence[ArrayLike], negatives: Sequence[ArrayLike]
+) -> list[PairedSets]:
+    """The tables of user `users[i]`'s (S, k) positive sets `positives[i]`,
+    row j matched to row j of `negatives[i]`; a user may come more than once.
+    Raises ValueError naming the user as `_tables` does, or on sets that are
+    not (S, k)."""
+    chunks = []
+    for user, *pair in zip(users, positives, negatives):
+        for negative, sets in enumerate(np.asarray(s, dtype=np.intp) for s in pair):
+            if sets.ndim != 2:
+                raise ValueError(f"user {user}: sets are not an (S, k) array")
+            rows = len(sets)
+            chunks.append((np.full(rows, user, np.intp), np.full(rows, negative, bool), sets))
+    return _tables(chunks)
+
+
+def _tables(chunks: Iterable[tuple[np.ndarray, ...]], source=None) -> list[PairedSets]:
+    """The tables of chunks of rows in draw order, each (R,) users, (R,)
+    negative flags and (R, k) item ids: each user's i-th positive row is
+    paired with its i-th negative row.  Raises ValueError naming the user,
+    and `source` if given, when its rows differ in width or in sign count,
+    or one holds a negative or repeated id."""
+    where = f"{source}: " if source is not None else ""
+    by_width: dict[int, list] = {}
+    for chunk in chunks:
+        if len(chunk[2]):
+            by_width.setdefault(chunk[2].shape[1], []).append(chunk)
+    held = [np.unique(np.concatenate([c[0] for c in group])) for group in by_width.values()]
+    held = np.sort(np.concatenate([np.zeros(0, np.intp), *held]))
+    if len(twice := held[1:][held[1:] == held[:-1]]):
+        raise ValueError(f"{where}user {twice[0]}: rows differ in width")
+    tables = []
+    for k in sorted(by_width):
+        # one width's chunks joined at a time, so that only its rows are held twice
+        users, negative, sets = map(np.concatenate, zip(*by_width.pop(k)))
+        sets.sort(axis=1)
+        if len(bad := np.flatnonzero(_bad_rows(sets))):
+            user = users[bad[0]]
+            raise ValueError(f"{where}user {user}: a set holds a negative or repeated item id")
+        # the positive rows by user, then the negative rows by user, each
+        # user's in draw order: where each user has as many of both, the
+        # i-th positive row and the i-th negative row are a pair
+        order = np.lexsort((users, negative))
+        half = len(users) - np.count_nonzero(negative)
+        pair_users = users[order[:half]]
+        if 2 * half != len(users) or np.any(pair_users != users[order[half:]]):
+            distinct, code = np.unique(users, return_inverse=True)
+            excess = np.bincount(code, np.where(negative, -1, 1), len(distinct))
+            raise ValueError(f"{where}unbalanced sets for user {distinct[excess != 0][0]}")
+        into = np.column_stack([order[:half], order[half:]]).ravel()
+        # a file in dump order is in pair order already
+        tables.append(PairedSets(pair_users, sets if np.all(into[1:] > into[:-1]) else sets[into]))
+    return tables
 
 
 def _bad_rows(rows: np.ndarray) -> np.ndarray:
@@ -100,8 +148,8 @@ def draw_paired_sets(
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int = 0,
-) -> list[PairedDiverseSets]:
-    """Positive sets plus matched negatives for each of `users`.
+) -> list[PairedSets]:
+    """The tables of positive sets plus matched negatives of `users`.
 
     `items[i]` are user i's distinct training items, at least one, and
     `histories[i]` every item it interacted with; `item_categories` is the
@@ -126,7 +174,7 @@ def draw_paired_sets(
     negatives = _negative_sets(
         items, positives, histories, item_categories, streams(NEGATIVE_STREAM)
     )
-    return [PairedDiverseSets(u, p, n) for u, p, n in zip(users, positives, negatives)]
+    return paired_sets(users, positives, negatives)
 
 
 def build_paired_sets(
@@ -137,8 +185,8 @@ def build_paired_sets(
     decay: float = DEFAULT_DECAY,
     set_size: int = DEFAULT_SET_SIZE,
     seed: int = 0,
-) -> PairedDiverseSets:
-    """`draw_paired_sets` for one user."""
+) -> PairedSets:
+    """`draw_paired_sets` for one user: its one table."""
     return draw_paired_sets(
         [user], [items], [user_history], item_categories, decay, set_size, seed
     )[0]
@@ -407,74 +455,64 @@ def _remaining(
     return start[pool + 1] - lo - held.sum(axis=1), taken
 
 
-def dump_paired_sets(pairs: Iterable[PairedDiverseSets], path) -> None:
-    """Write sets as `user<TAB>+|-<TAB>comma-separated item ids` lines, each
-    positive set followed by its negative."""
+def dump_paired_sets(tables: Sequence[PairedSets], path) -> None:
+    """Write the tables' sets as `user<TAB>+|-<TAB>comma-separated item ids`
+    lines in user order, each positive set followed by its negative."""
+    table_of = np.repeat(np.arange(len(tables)), [len(t.users) for t in tables])
+    pair_of = np.concatenate([np.zeros(0, np.intp), *(np.arange(len(t.users)) for t in tables)])
+    users = np.concatenate([np.zeros(0, np.intp), *(t.users for t in tables)])
+    order = np.argsort(users, kind="stable")
+    # in user order, the pairs of one table come in runs of consecutive pairs
+    heads = np.flatnonzero(np.diff(table_of[order], prepend=-1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            ids = ",".join(["%d"] * p.positive.shape[1])
-            values = np.hstack([p.positive, p.negative]).ravel().tolist()
-            fh.write(f"{p.user}\t+\t{ids}\n{p.user}\t-\t{ids}\n" * len(p.positive) % tuple(values))
+        for head, end in zip(heads, [*heads[1:], len(order)]):
+            table, first = tables[table_of[order[head]]], pair_of[order[head]]
+            run = slice(first, first + end - head)
+            users, positive, negative = table.users[run], table.positive[run], table.negative[run]
+            ids = ",".join(["%d"] * positive.shape[1])
+            write_rows(fh, f"%d\t+\t{ids}\n%d\t-\t{ids}", [users, positive, users, negative])
 
 
-def load_paired_sets(path) -> list[PairedDiverseSets]:
-    """The `dump_paired_sets` file, one entry per user in user order, a user's
-    sets in file order.  Raises ValueError on a malformed line, on a user whose
-    rows differ in width, and where PairedDiverseSets would.
+def load_paired_sets(path) -> list[PairedSets]:
+    """The tables of a `dump_paired_sets` file, each user's sets in file
+    order.  Raises ValueError naming the file on a malformed line, and its
+    user too on a malformed item id, and as `_tables` does.
 
-    The rows of each width are parsed, sorted and checked at once."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    if not lines:
-        return []
-    fields = "\t\n\t".join(lines).split("\t")  # "\n" closes each line, as in parse_int_rows
-    users, signs, ids = fields[0::4], fields[1::4], fields[2::4]
-    if len(fields) != 4 * len(lines) - 1 or set(fields[3::4]) - {"\n"} or set(signs) - {"+", "-"}:
+    The file is read READ_LINES lines at a time, and of each block only its
+    int arrays are kept."""
+
+    def chunks():
+        with open(path, encoding="utf-8") as fh:
+            while block := "".join(islice(fh, READ_LINES)):
+                if lines := [ln for ln in block.splitlines() if ln]:
+                    yield from _parse_block(lines, path)
+
+    return _tables(chunks(), path)
+
+
+def _parse_block(lines: list[str], path) -> Iterator[tuple[np.ndarray, ...]]:
+    """The (users, negative flags, item ids) chunks of a block of lines, one
+    a width."""
+    fields = "\t\n\t".join(lines).split("\t")  # "\n" closes each line
+    users, signs, ids, ends = (fields[k::4] for k in range(4))
+    if len(fields) != 4 * len(lines) - 1 or {*ends} - {"\n"} or {*signs} - {"+", "-"}:
         raise ValueError(f"{path}: a line is not user<TAB>+|-<TAB>item ids")
     users = parse_int_rows(users, 1, path)[:, 0]
-    negative = np.array(signs) == "-"
-    widths = np.array([s.count(",") for s in ids]) + 1
-    # by user, each user's positive rows then its negative rows, in file order
-    order = np.lexsort((negative, users))
-    users, negative, widths = users[order], negative[order], widths[order]
-    starts = np.flatnonzero(np.diff(users, prepend=users[0] - 1))
-    ends = np.append(starts[1:], len(users))
-    widest, narrowest = np.maximum.reduceat(widths, starts), np.minimum.reduceat(widths, starts)
-    mixed = np.flatnonzero(widest > narrowest)
-    if len(mixed):
-        raise ValueError(f"{path}: user {users[starts[mixed[0]]]}: rows differ in width")
-    n_negative = np.add.reduceat(negative, starts)
-    unbalanced = np.flatnonzero(2 * n_negative != ends - starts)
-    if len(unbalanced):
-        raise ValueError(f"unbalanced sets for user {users[starts[unbalanced[0]]]}")
-    pairs = []
+    negative = np.frombuffer("".join(signs).encode(), np.uint8) == ord("-")
+    # a block of one width, as most are, takes one parse, which checks every
+    # line's width; if that fails, the lines go by width
+    width = ids[0].count(",") + 1
+    if "".join(ids).count(",") == len(ids) * (width - 1):
+        with suppress(ValueError):
+            yield users, negative, parse_int_rows(ids, width, path)
+            return
+    widths = np.fromiter(map(str.count, ids, repeat(",")), np.intp, len(ids)) + 1
     for width in np.unique(widths).tolist():
         rows = np.flatnonzero(widths == width)
-        sets = _parse_sets([ids[i] for i in order[rows].tolist()], width, users[rows], path)
-        sets.sort(axis=1)
-        bad = np.flatnonzero(_bad_rows(sets))
-        if len(bad):
-            user = users[rows[bad[0]]]
-            raise ValueError(f"user {user}: a set holds a negative or repeated item id")
-        heads = np.searchsorted(rows, starts[np.isin(starts, rows)])
-        for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(rows)]):
-            user, half = int(users[rows[a]]), (a + b) // 2
-            pairs.append(PairedDiverseSets._checked(user, sets[a:half], sets[half:b]))
-    return sorted(pairs, key=lambda p: p.user)
-
-
-def _parse_sets(lines: list[str], width: int, users: np.ndarray, path) -> np.ndarray:
-    """`parse_int_rows` of one width's lines, PARSE_LINES at a time, so that
-    only so many lines are split into strings at once; on a malformed line,
-    the error names its user."""
-    try:
-        return np.concatenate(
-            [np.zeros((0, width), dtype=np.intp)]
-            + [
-                parse_int_rows(lines[i : i + PARSE_LINES], width, path)
-                for i in range(0, len(lines), PARSE_LINES)
-            ]
-        )
-    except ValueError:
-        for line, user in zip(lines, users.tolist()):
-            parse_int_rows([line], width, f"{path}: user {user}")
-        raise
+        lines = [ids[i] for i in rows.tolist()]
+        try:
+            yield users[rows], negative[rows], parse_int_rows(lines, width, path)
+        except ValueError:
+            for line, user in zip(lines, users[rows].tolist()):
+                parse_int_rows([line], width, f"{path}: user {user}")
+            raise

@@ -6,11 +6,11 @@ jittered so both directions stay bounded.  Optimization is full-batch
 gradient ascent with a halving-on-regression step control, which keeps
 desk-scale runs deterministic.
 
-The sets are grouped by size once per fit, and each group's blocks of
-BLOCK_SETS sets get a scatter plan then (`_scatter_plans`).  An evaluation
-factors block after block in work buffers made once per set size, and adds
-each block's gradient rows layer by layer, as `np.add.at` would add them,
-bit for bit.
+The sets come grouped by size, one `diverse_sets.PairedSets` table per
+size, and each table's blocks of BLOCK_SETS sets get a scatter plan once
+per fit (`_scatter_plans`).  An evaluation factors block after block in
+work buffers made once per set size, and adds each block's gradient rows
+layer by layer, as `np.add.at` would add them, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import check_lowest, read_checkpoint, write_checkpoint
-from .diverse_sets import PairedDiverseSets
+from .diverse_sets import PairedSets
 from .kernels import DiversityKernelLowRank, _log_det_of_factor
 
 log = logging.getLogger(__name__)
@@ -60,17 +60,13 @@ class _SetGroup(NamedTuple):
     blocks: list[_BlockPlan]
 
 
-def _group_sets(pairs: Sequence[PairedDiverseSets]) -> list[_SetGroup]:
-    """Every positive and negative set, grouped by size k, in pair order
-    within a group, each positive before its negative, with its blocks'
-    scatter plans: built once per fit, read by every evaluation."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for p in pairs:
-        by_size.setdefault(p.positive.shape[1], []).append(np.hstack([p.positive, p.negative]))
-    groups = [np.concatenate(sets).reshape(-1, k) for k, sets in sorted(by_size.items())]
+def _group_sets(tables: Sequence[PairedSets]) -> list[_SetGroup]:
+    """Each table's sets with their signs, +1 on a positive row and -1 on a
+    negative one, and its blocks' scatter plans: built once per fit, read by
+    every evaluation."""
     return [
-        _SetGroup(items, np.tile([1.0, -1.0], len(items) // 2), _scatter_plans(items))
-        for items in groups
+        _SetGroup(t.sets, np.tile([1.0, -1.0], len(t.users)), _scatter_plans(t.sets))
+        for t in tables
     ]
 
 
@@ -180,20 +176,22 @@ def _add_block(
 
 def paired_set_objective(
     kernel: DiversityKernelLowRank,
-    pairs: Sequence[PairedDiverseSets],
+    pairs: Sequence[PairedSets],
     l2_reg: float = 0.0,
     jitter: float = 0.0,
 ) -> float:
-    """Contrastive log-det objective over all positive/negative set pairs."""
+    """Contrastive log-det objective over all positive/negative set pairs of
+    the tables `pairs`."""
     return _objective_and_gradient(kernel.factors, _group_sets(pairs), l2_reg, jitter)[0]
 
 
 def train_kernel(
-    pairs: Sequence[PairedDiverseSets],
+    pairs: Sequence[PairedSets],
     n_items: int,
     config: KernelTrainConfig,
 ) -> tuple[DiversityKernelLowRank, list[float]]:
-    """Gradient ascent on the paired-set objective.
+    """Gradient ascent on the paired-set objective over the tables `pairs`,
+    one per set size, as `diverse_sets` makes them.
 
     Returns the learned (unnormalized) kernel and the per-epoch objective
     trace.  The learning rate is halved whenever the objective drops two

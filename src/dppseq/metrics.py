@@ -49,12 +49,17 @@ class MetricTable:
 
     @classmethod
     def read_csv(cls, path) -> "MetricTable":
-        """Read a table that `write_csv` wrote, skipping its stamp."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            if next(reader, None) != _COLUMNS:
-                raise ValueError(f"{path} is not a metric table")
-            return cls([MetricRow(r[0], int(r[1]), int(r[2]), *map(float, r[3:])) for r in reader])
+        """Read a table that `write_csv` wrote, skipping its stamp.  Raises
+        ValueError naming the file on a row of other than 7 fields or
+        numbers."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+            if header != _COLUMNS or any(len(r) != len(_COLUMNS) for r in rows):
+                raise ValueError(f"not a metric table of {len(_COLUMNS)} fields a row")
+            return cls([MetricRow(r[0], int(r[1]), int(r[2]), *map(float, r[3:])) for r in rows])
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 RANK_BLOCK_USERS = 128  # users ranked at once; a block holds this many rows of M scores

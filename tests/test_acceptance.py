@@ -20,7 +20,7 @@ from dppseq.data import (
     user_histories,
     write_interactions,
 )
-from dppseq.diverse_sets import PairedDiverseSets, build_paired_sets
+from dppseq.diverse_sets import build_paired_sets, paired_sets
 from dppseq.kernel_learning import (
     JITTER,
     KernelTrainConfig,
@@ -200,7 +200,7 @@ def test_05_gradient_suite():
         V = rng.standard_normal((8, 3))
         pos = rng.choice(8, size=2, replace=False)
         neg = rng.choice(8, size=2, replace=False)
-        pairs = [PairedDiverseSets(user=0, positive=[pos], negative=[neg])]
+        pairs = paired_sets([0], [[pos]], [[neg]])
         analytic = _objective_and_gradient(V, _group_sets(pairs), 0.05, 1e-4)[1]
         fd = oracle_fd_gradient(
             lambda flat: paired_set_objective(
@@ -246,6 +246,7 @@ def test_05_gradient_suite():
 
 
 def _two_cluster_pairs(rng, n_pairs, n_items=20):
+    """(positive, negative) set pairs, each set sorted."""
     pairs = []
     for _ in range(n_pairs):
         pos = set(rng.choice(10, size=2, replace=False)) | set(
@@ -253,7 +254,7 @@ def _two_cluster_pairs(rng, n_pairs, n_items=20):
         )
         cluster = int(rng.integers(2)) * 10
         neg = set(cluster + rng.choice(10, size=4, replace=False))
-        pairs.append(PairedDiverseSets(user=0, positive=[sorted(pos)], negative=[sorted(neg)]))
+        pairs.append((sorted(pos), sorted(neg)))
     return pairs
 
 
@@ -264,8 +265,12 @@ def test_06_kernel_learning_sanity():
     train_pairs = _two_cluster_pairs(rng, 200)
     held_out = _two_cluster_pairs(rng, 80)
     config = KernelTrainConfig(latent_dim=3, learning_rate=0.01, epochs=200, seed=1)
-    kernel, _ = train_kernel(train_pairs, 20, config)
-    margins = [paired_set_objective(kernel, [p], jitter=JITTER) for p in held_out]
+    positives, negatives = zip(*train_pairs)
+    kernel, _ = train_kernel(paired_sets([0], [positives], [negatives]), 20, config)
+    margins = [
+        paired_set_objective(kernel, paired_sets([0], [[pos]], [[neg]]), jitter=JITTER)
+        for pos, neg in held_out
+    ]
     assert float(np.mean(margins)) > 0.0
     assert time.perf_counter() - t0 < 30.0
 
@@ -295,12 +300,13 @@ def test_08_end_to_end_directional():
     instances = make_instances(split, 200, L=6, T=3, Z=3, seed=0)
     histories = user_histories(split)
 
-    pairs = []
+    drawn = []
     for u, tr in enumerate(split.train):
         if not tr:
             continue
         items = list(dict.fromkeys(tr))
-        pairs.append(build_paired_sets(u, items, histories[u], log.item_categories, seed=u))
+        drawn.append(build_paired_sets(u, items, histories[u], log.item_categories, seed=u))
+    pairs = paired_sets(*zip(*((t.users[0], t.positive, t.negative) for t in drawn)))
     kernel, _ = train_kernel(
         pairs, 200, KernelTrainConfig(latent_dim=32, learning_rate=0.005, epochs=20, seed=0)
     )

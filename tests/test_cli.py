@@ -386,6 +386,7 @@ class TestExitCodes:
                 lambda lines: set_ids(lines, 0, lambda ids: ids[:1] + ids[:-1]), id="repeated_id"
             ),
             pytest.param(lambda lines: set_field(lines, 1, 1, "*"), id="sign_not_plus_or_minus"),
+            pytest.param(lambda lines: set_field(lines, 0, 1, "*"), id="plus_sign_replaced"),
             pytest.param(lambda lines: set_field(lines, 1, 1, "0"), id="sign_numeric"),
             pytest.param(lambda lines: [lines[0] + "\t1"] + lines[1:], id="extra_field"),
             pytest.param(
@@ -410,6 +411,48 @@ class TestExitCodes:
         assert lines[0].count(",") == lines[2].count(",") > 0
         (out / "diverse_sets.tsv").write_text("\n".join(edit(lines)) + "\n")
         assert main(["--config", str(config), "train-kernel"]) == 3
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            pytest.param("metrics_ce.csv", lambda lines: [*lines, "ce,3"], id="metrics_short_row"),
+            pytest.param(
+                "metrics_ce.csv",
+                lambda lines: [*lines, lines[-1] + ",0.5"],
+                id="metrics_extra_field",
+            ),
+            pytest.param(
+                "metrics_ce.csv",
+                lambda lines: [*lines, lines[-1].rsplit(",", 1)[0] + ",x"],
+                id="metrics_not_a_number",
+            ),
+            pytest.param("metrics_ce.csv", lambda lines: [*lines, ""], id="metrics_blank_line"),
+            pytest.param(
+                "train_log_ce.csv", lambda lines: [*lines, "3,1.5,0.2"], id="log_short_row"
+            ),
+            pytest.param(
+                "train_log_ce.csv", lambda lines: [*lines, "3,1.5,0.2,0.1,9"], id="log_extra_field"
+            ),
+            pytest.param(
+                "train_log_ce.csv", lambda lines: [*lines, "3,x,0.2,0.1"], id="log_not_a_number"
+            ),
+            pytest.param("train_log_ce.csv", lambda lines: lines[:2], id="log_header_only"),
+        ],
+    )
+    def test_bad_report_input_is_data_error(self, tmp_path, trained_ce, capsys, name, edit):
+        # `report` reads the metric tables and the train logs as outside
+        # input: exit 3, with the file named, as for any other stage file
+        out = tmp_path / "out"
+        shutil.copytree(trained_ce, out)
+        config = config_file(tmp_path, "unused.csv", out, losses="ce")
+        assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 0
+        assert main(["--config", str(config), "report"]) == 0
+        lines = (out / name).read_text().splitlines()
+        assert lines[0].startswith("# config_hash=") and len(lines) > 2
+        (out / name).write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), "report"]) == 3
+        assert str(out / name) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("name", "stage"),
@@ -556,19 +599,19 @@ class TestPipeline:
     def test_rows_written_by_blocks(self, tmp_path, monkeypatch, n_rows):
         # each block of 3 rows ends its last line, and the text is what the
         # `%d` template writes, the largest value included
-        from dppseq import cli
+        from dppseq import data
 
-        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", 3)
         rng = np.random.default_rng(n_rows)
         columns = [rng.integers(0, 1000, n_rows), rng.integers(0, 12, (n_rows, 4)), np.arange(n_rows)]
         line = "%d\t%d,%d,%d,%d\t%d"
         path = tmp_path / "rows.tsv"
         with open(path, "w") as fh:
-            cli._write_rows(fh, line, columns)
+            data.write_rows(fh, line, columns)
         table = np.column_stack(columns).tolist()
         assert path.read_text() == "".join(line % tuple(r) + "\n" for r in table)
         with open(path, "w") as fh, pytest.raises(ValueError):
-            cli._write_rows(fh, "%d", [np.array([3, -1])])
+            data.write_rows(fh, "%d", [np.array([3, -1])])
 
     def test_train_log_round_trip(self, tmp_path):
         from dppseq.cli import _read_train_log, _write_train_log

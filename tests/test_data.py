@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dppseq import data
 from dppseq.data import (
     SplitResult,
     default_lengths,
@@ -238,6 +239,26 @@ def test_split_manifest(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "user\tn_train\tn_valid\tn_test"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("top", [9, 10**6])
+def test_rows_written_from_either_table_of_strings(tmp_path, monkeypatch, top):
+    # 120 values up to 9 take the strings of 0..9; up to 10**6, those of
+    # their distinct values, as user ids of a sets file may.  Either way,
+    # across blocks, the text is what the `%d` template writes
+    monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", 4)
+    unique, distinct_calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda a: distinct_calls.append(a.size) or unique(a))
+    rng = np.random.default_rng(top)
+    columns = [rng.integers(0, top + 1, 30), rng.integers(0, top + 1, (30, 3))]
+    columns[1][-1, -1] = top
+    line = "%d\t+\t%d,%d\n%d"
+    path = tmp_path / "rows.tsv"
+    with open(path, "w") as fh:
+        data.write_rows(fh, line, columns)
+    table = np.column_stack(columns).tolist()
+    assert path.read_text() == "".join(line % tuple(r) + "\n" for r in table)
+    assert distinct_calls == ([] if top == 9 else [120])
 
 
 class TestParseIntRows:

@@ -1,5 +1,6 @@
 """Diverse-set generation, matched negative sampling and the sets file."""
 
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -15,11 +16,12 @@ from dppseq.diverse_sets import (
     NEGATIVE_STREAM,
     POSITIVE_BLOCK,
     POSITIVE_STREAM,
-    PairedDiverseSets,
+    PairedSets,
     build_paired_sets,
     dump_paired_sets,
     generate_diverse_sets,
     load_paired_sets,
+    paired_sets,
     sample_negative_set,
     _choice_cdf,
     _choice_pick,
@@ -396,10 +398,13 @@ class TestUserStreams:
 
 
 class TestPairedDiverseSets:
+    """The checks of `paired_sets`, the builder of every table of sets."""
+
     def test_rows_sorted_on_entry(self):
-        pairs = PairedDiverseSets(3, [[4, 1, 2]], np.array([[9, 0, 5]]))
+        (pairs,) = paired_sets([3], [[[4, 1, 2]]], [np.array([[9, 0, 5]])])
         assert pairs.positive.tolist() == [[1, 2, 4]] and pairs.negative.tolist() == [[0, 5, 9]]
         assert pairs.positive.dtype == pairs.negative.dtype == np.intp
+        assert pairs.users.tolist() == [3] and pairs.sets.tolist() == [[1, 2, 4], [0, 5, 9]]
 
     @pytest.mark.parametrize(
         "positive, negative",
@@ -413,7 +418,7 @@ class TestPairedDiverseSets:
     )
     def test_invalid_sets_rejected(self, positive, negative):
         with pytest.raises(ValueError, match="user 3"):
-            PairedDiverseSets(3, positive, negative)
+            paired_sets([3], [positive], [negative])
 
 
 class TestBuildPairedSets:
@@ -427,7 +432,7 @@ class TestBuildPairedSets:
             item_categories=table,
             seed=5,
         )
-        assert pairs.user == 7
+        assert pairs.users.tolist() == [7] * len(pairs.positive)
         assert pairs.positive.shape == pairs.negative.shape
         assert set(pairs.positive.ravel().tolist()) == set(range(6))
         assert not set(pairs.negative.ravel().tolist()) & set(range(6))
@@ -440,6 +445,7 @@ class TestBuildPairedSets:
         dump_paired_sets([pairs], path)
         loaded = load_paired_sets(path)
         assert len(loaded) == 1
+        assert np.array_equal(loaded[0].users, pairs.users)
         assert np.array_equal(loaded[0].positive, pairs.positive)
         assert np.array_equal(loaded[0].negative, pairs.negative)
 
@@ -507,7 +513,8 @@ def reference_build_paired_sets(user, user_items, user_history, item_categories,
         sample_negative_set([pools[cats_of[i]] for i in pos], np.flatnonzero(mask), negative_rng)
         for pos in positives.tolist()
     ]
-    return PairedDiverseSets(user, positives, negatives), positive_rng, negative_rng
+    (pairs,) = paired_sets([user], [positives], [negatives])
+    return pairs, positive_rng, negative_rng
 
 
 def test_build_paired_sets_matches_the_frozenset_path(monkeypatch):
@@ -556,7 +563,8 @@ def test_build_paired_sets_matches_the_frozenset_path(monkeypatch):
             continue
         made.clear()
         got = build_paired_sets(case, ids, history, table, decay, set_size, 7)
-        assert got.user == want.user and np.array_equal(got.positive, want.positive), case
+        assert np.array_equal(got.users, want.users), case
+        assert np.array_equal(got.positive, want.positive), case
         assert np.array_equal(got.negative, want.negative), case
         assert [r.bit_generator.state for r in made] == [r.bit_generator.state for r in want_rngs]
     assert min(seen.values()) > 0, seen
@@ -741,7 +749,10 @@ def test_sets_file_matches_the_frozenset_path(sets_dir, lines):
     path = sets_dir / "sets.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pairs, old = load_paired_sets(path), frozenset_load_paired_sets(path)
-    assert [p.user for p in pairs] == [user for user, _, _ in old]
+    # each user in one table, and each table in user order
+    held = np.concatenate([np.unique(t.users) for t in pairs])
+    assert sorted(held.tolist()) == [user for user, _, _ in old]
+    assert all(np.all(np.diff(t.users) >= 0) for t in pairs)
     groups, want = _group_sets(pairs), frozenset_group_sets(old)
     assert [g[0].shape for g in groups] == [w[0].shape for w in want]
     for (items, signs, _), (want_items, want_signs) in zip(groups, want):
@@ -752,17 +763,18 @@ def test_sets_file_matches_the_frozenset_path(sets_dir, lines):
     assert (sets_dir / "new.tsv").read_bytes() == (sets_dir / "old.tsv").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "bad_lines",
-    [
-        ["7\t+\t1,2", "7\t-\t3,3"],  # repeated id
-        ["7\t+\t1,2", "7\t-\t3,-4"],  # negative id
-        ["7\t+\t1,2", "7\t-\t3,x"],  # not an integer
-        ["7\t+\t1,2", "7\t-\t3," + "9" * 20],  # overflows
-        ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6"],  # unbalanced
-        ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6,8", "7\t-\t9,10,11"],  # two widths
-    ],
-)
+USER_7_MALFORMED = [
+    ["7\t+\t1,2", "7\t-\t3,3"],  # repeated id
+    ["7\t+\t1,2", "7\t-\t3,-4"],  # negative id
+    ["7\t+\t1,2", "7\t-\t3,x"],  # not an integer
+    ["7\t+\t1,2", "7\t-\t3," + "9" * 20],  # overflows
+    ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6"],  # unbalanced
+    ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6", "8\t-\t7,8"],  # unbalanced, the file's signs not
+    ["7\t+\t1,2", "7\t-\t3,4", "7\t+\t5,6,8", "7\t-\t9,10,11"],  # two widths
+]
+
+
+@pytest.mark.parametrize("bad_lines", USER_7_MALFORMED)
 def test_malformed_sets_file_names_the_user(tmp_path, bad_lines):
     """Every row is parsed and checked at once, and the error still names
     the user of the malformed line, among users that are well formed."""
@@ -771,6 +783,71 @@ def test_malformed_sets_file_names_the_user(tmp_path, bad_lines):
     path.write_text("\n".join(good[:2] + bad_lines + good[2:]) + "\n")
     with pytest.raises(ValueError, match="user 7"):
         load_paired_sets(path)
+
+
+@pytest.mark.parametrize("bad_lines", USER_7_MALFORMED)
+def test_malformed_line_in_a_later_block_names_the_user(tmp_path, monkeypatch, bad_lines):
+    # blocks of 3 lines: users 2 and 9 fill the first two, so user 7's
+    # lines start the third, and its last bad line is in the third or the
+    # fourth
+    monkeypatch.setattr(diverse_sets, "READ_LINES", 3)
+    good = ["2\t+\t1,2", "9\t+\t1,2,3", "2\t-\t3,4", "9\t-\t4,5,6", "", "2\t+\t5,6", "2\t-\t7,8"]
+    path = tmp_path / "sets.tsv"
+    path.write_text("\n".join(good[:6] + bad_lines + good[6:]) + "\n")
+    with pytest.raises(ValueError, match="user 7"):
+        load_paired_sets(path)
+
+
+def test_user_whose_width_changes_across_blocks_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(diverse_sets, "READ_LINES", 3)
+    lines = ["7\t+\t1,2", "7\t-\t3,4", "2\t+\t1,2", "7\t+\t5,6,8", "7\t-\t9,10,11", "2\t-\t3,4"]
+    path = tmp_path / "sets.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="user 7: rows differ in width"):
+        load_paired_sets(path)
+    path.write_text("\n".join(lines[:3] + lines[5:]) + "\n")
+    assert [t.users.tolist() for t in load_paired_sets(path)] == [[2, 7]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lines=sets_files())
+def test_sets_file_read_in_blocks_of_three_lines(sets_dir, lines):
+    # with READ_LINES = 3, a user's rows and a width's rows are spread over
+    # blocks, some blocks hold only blank lines, and the tables are those
+    # of one block
+    path = sets_dir / "sets.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = load_paired_sets(path)
+    path.write_text("".join(f"{line}\n\n\n\n" for line in lines), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diverse_sets, "READ_LINES", 3)
+        got = load_paired_sets(path)
+    assert [t.sets.shape for t in got] == [t.sets.shape for t in want]
+    for table, wanted in zip(got, want):
+        assert table.users.dtype == wanted.users.dtype and np.array_equal(table.users, wanted.users)
+        assert table.sets.dtype == wanted.sets.dtype and np.array_equal(table.sets, wanted.sets)
+
+
+def test_sets_file_read_in_bounded_memory(tmp_path):
+    """200,000 lines of 5-item sets (100,000 pairs of 10,000 users): the
+    read holds one block's strings at a time and the int arrays, so its
+    peak stays under 4 times the tables it returns."""
+    rng = np.random.default_rng(5)
+    written = PairedSets(
+        np.repeat(np.arange(10_000), 10), np.cumsum(rng.integers(1, 700, (200_000, 5)), axis=1)
+    )
+    path = tmp_path / "sets.tsv"
+    dump_paired_sets([written], path)
+    assert len(path.read_text().splitlines()) == 200_000
+    tracemalloc.start()
+    try:
+        (table,) = load_paired_sets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.users, written.users) and np.array_equal(table.sets, written.sets)
+    held = table.users.nbytes + table.sets.nbytes
+    assert peak < 4 * held, (peak, held)
 
 
 def test_kernel_from_the_sets_file_equals_the_fit_in_memory(tmp_path):
@@ -814,6 +891,7 @@ def test_kernel_from_the_sets_file_equals_the_fit_in_memory(tmp_path):
         l2_reg=config.kernel_l2,
         seed=config.seed,
     )
-    kernel, _ = train_kernel(pairs, log.n_items, kernel_config)
+    tables = paired_sets(*zip(*((t.users[0], t.positive, t.negative) for t in pairs)))
+    kernel, _ = train_kernel(tables, log.n_items, kernel_config)
     kernel = normalize_kernel(kernel, seed=config.seed)
     assert np.array_equal(load_kernel(out / "kernel.txt").factors, kernel.factors)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from dppseq.diverse_sets import PairedDiverseSets
+from dppseq.diverse_sets import paired_sets
 from dppseq.kernel_learning import (
     BLOCK_SETS,
     JITTER,
@@ -31,11 +31,13 @@ def objective_gradient(V, pairs, l2_reg, jitter):
 
 
 def pair(user, positives, negatives):
-    return PairedDiverseSets(
-        user=user,
-        positive=[sorted(s) for s in positives],
-        negative=[sorted(s) for s in negatives],
-    )
+    """One user's sets, each row sorted, as `paired_sets` takes them."""
+    return user, [sorted(s) for s in positives], [sorted(s) for s in negatives]
+
+
+def tables(pairs):
+    """The `paired_sets` tables of `pair` entries."""
+    return paired_sets(*zip(*pairs))
 
 
 def two_cluster_pairs(rng, n_pairs=200, n_items=20):
@@ -56,14 +58,14 @@ class TestPairedSetObjective:
     def test_singleton_sets(self, rng):
         V = rng.standard_normal((5, 3))
         kernel = DiversityKernelLowRank(V)
-        pairs = [pair(0, [{1}], [{3}])]
+        pairs = tables([pair(0, [{1}], [{3}])])
         expected = math.log(V[1] @ V[1]) - math.log(V[3] @ V[3])
         assert paired_set_objective(kernel, pairs) == pytest.approx(expected)
 
     def test_identical_sets_cancel(self, rng):
         V = rng.standard_normal((5, 3))
         kernel = DiversityKernelLowRank(V)
-        pairs = [pair(0, [{0, 2}], [{0, 2}])]
+        pairs = tables([pair(0, [{0, 2}], [{0, 2}])])
         assert paired_set_objective(kernel, pairs, l2_reg=0.1) == pytest.approx(
             -0.1 * np.sum(V * V)
         )
@@ -71,11 +73,11 @@ class TestPairedSetObjective:
     def test_against_cofactor_oracle(self, rng):
         V = rng.standard_normal((10, 4))
         kernel = DiversityKernelLowRank(V)
-        pairs = [
+        pairs = tables([
             pair(0, [{0, 1, 2}], [{3, 4, 5}]),
             pair(1, [{1, 5, 9}], [{0, 2, 8}]),
             pair(2, [{2, 4, 6}], [{1, 3, 7}]),
-        ]
+        ])
         expected = 0.0
         for p in pairs:
             for pos, neg in zip(p.positive, p.negative):
@@ -113,7 +115,7 @@ def random_pairs(rng, sizes, n_items):
     for u, k in enumerate(sizes):
         pos, neg = (rng.choice(n_items, k, replace=False) for _ in "pn")
         pairs.append(pair(u, [pos], [neg]))
-    return pairs
+    return tables(pairs)
 
 
 def add_at_reference(V, groups, l2_reg, jitter):
@@ -171,10 +173,10 @@ class TestBlockedObjective:
         probs = weights / weights.sum()
         V = 0.3 * rng.standard_normal((n_items, 32))
         sizes = [5] * (2 * BLOCK_SETS + 41) + [1] * 9 + [3] * 70 + [8] * (BLOCK_SETS + 3)
-        pairs = [
+        pairs = tables([
             pair(u, *([rng.choice(n_items, k, replace=False, p=probs)] for _ in "pn"))
             for u, k in enumerate(rng.permutation(sizes))
-        ]
+        ])
         groups = _group_sets(pairs)
         assert sum(len(g.items) > BLOCK_SETS and len(g.items) % BLOCK_SETS > 0 for g in groups) == 3
         for items, _, blocks in groups:
@@ -202,7 +204,7 @@ class TestBlockedObjective:
             assert np.array_equal(grad, want_grad)
 
     def test_item_outside_the_factor_rows_rejected(self, rng):
-        pairs = [pair(0, [{0, 9}], [{1, 2}])]
+        pairs = tables([pair(0, [{0, 9}], [{1, 2}])])
         paired_set_objective(DiversityKernelLowRank(rng.standard_normal((10, 3))), pairs)
         with pytest.raises(ValueError, match="9-item catalog"):
             paired_set_objective(DiversityKernelLowRank(rng.standard_normal((9, 3))), pairs)
@@ -214,7 +216,7 @@ class TestBlockedObjective:
         # log-det near -36; 20 draws make it near certain that some do.
         # (Positive and negative are the same set, so that one factoring
         # Gram is enough for the whole block to factor.)
-        pairs = [pair(0, [{0, 1, 2, 3}], [{0, 1, 2, 3}])]
+        pairs = tables([pair(0, [{0, 1, 2, 3}], [{0, 1, 2, 3}])])
         for _ in range(20):
             V = rng.standard_normal((10, 3))
             with pytest.raises(FloatingPointError):
@@ -245,10 +247,10 @@ class TestBlockedObjective:
 class TestTrainKernel:
     def test_gradient_matches_finite_differences(self, rng):
         V = rng.standard_normal((10, 3))
-        pairs = [
+        pairs = tables([
             pair(0, [{0, 1, 4}], [{5, 6, 7}]),
             pair(1, [{2, 3, 8}], [{1, 6, 9}]),
-        ]
+        ])
         l2, jitter = 0.02, 1e-4
         analytic = objective_gradient(V, pairs, l2, jitter)
 
@@ -265,15 +267,15 @@ class TestTrainKernel:
         train_pairs = two_cluster_pairs(rng, n_pairs=150)
         held_out = two_cluster_pairs(rng, n_pairs=60)
         config = KernelTrainConfig(latent_dim=3, learning_rate=0.01, epochs=150, seed=1)
-        kernel, history = train_kernel(train_pairs, 20, config)
+        kernel, history = train_kernel(tables(train_pairs), 20, config)
         margins = [
-            paired_set_objective(kernel, [p], jitter=JITTER) for p in held_out
+            paired_set_objective(kernel, tables([p]), jitter=JITTER) for p in held_out
         ]
         assert float(np.mean(margins)) > 0.0
 
     def test_strong_l2_shrinks_factors(self):
         rng = np.random.default_rng(1)
-        pairs = two_cluster_pairs(rng, n_pairs=20)
+        pairs = tables(two_cluster_pairs(rng, n_pairs=20))
         norms = []
         for l2 in (0.01, 10.0, 100.0):
             config = KernelTrainConfig(
@@ -285,7 +287,7 @@ class TestTrainKernel:
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        pairs = two_cluster_pairs(rng, n_pairs=10)
+        pairs = tables(two_cluster_pairs(rng, n_pairs=10))
         config = KernelTrainConfig(latent_dim=3, learning_rate=0.01, epochs=5, seed=7)
         a, hist_a = train_kernel(pairs, 20, config)
         b, hist_b = train_kernel(pairs, 20, config)
@@ -294,16 +296,16 @@ class TestTrainKernel:
 
     def test_objective_improves_with_small_lr(self):
         rng = np.random.default_rng(4)
-        pairs = two_cluster_pairs(rng, n_pairs=30)
+        pairs = tables(two_cluster_pairs(rng, n_pairs=30))
         config = KernelTrainConfig(latent_dim=3, learning_rate=0.002, epochs=40, seed=0)
         _, history = train_kernel(pairs, 20, config)
         assert history[-1] > history[0]
 
     def test_item_outside_catalog_rejected(self):
         config = KernelTrainConfig(latent_dim=2, epochs=1)
-        train_kernel([pair(0, [{0, 9}], [{1, 2}])], 10, config)
+        train_kernel(tables([pair(0, [{0, 9}], [{1, 2}])]), 10, config)
         with pytest.raises(ValueError, match="catalog"):
-            train_kernel([pair(0, [{0, 10}], [{1, 2}])], 10, config)
+            train_kernel(tables([pair(0, [{0, 10}], [{1, 2}])]), 10, config)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -370,7 +372,7 @@ class TestCheckpoint:
     def test_round_trip_preserves_objective(self, tmp_path, rng):
         V = rng.standard_normal((10, 4))
         kernel = DiversityKernelLowRank(V, normalized=False)
-        pairs = [pair(0, [{0, 1, 2}], [{3, 4, 5}])]
+        pairs = tables([pair(0, [{0, 1, 2}], [{3, 4, 5}])])
         path = tmp_path / "kernel.txt"
         save_kernel(path, kernel)
         loaded = load_kernel(path)
