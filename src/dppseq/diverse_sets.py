@@ -24,9 +24,8 @@ same code on one user or one set.
 from __future__ import annotations
 
 import logging
-from contextlib import suppress
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -462,12 +461,11 @@ def dump_paired_sets(tables: Sequence[PairedSets], path) -> None:
     pair_of = np.concatenate([np.zeros(0, np.intp), *(np.arange(len(t.users)) for t in tables)])
     users = np.concatenate([np.zeros(0, np.intp), *(t.users for t in tables)])
     order = np.argsort(users, kind="stable")
-    # in user order, the pairs of one table come in runs of consecutive pairs
+    # in user order, the pairs come in runs of one table each
     heads = np.flatnonzero(np.diff(table_of[order], prepend=-1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for head, end in zip(heads, [*heads[1:], len(order)]):
-            table, first = tables[table_of[order[head]]], pair_of[order[head]]
-            run = slice(first, first + end - head)
+            table, run = tables[table_of[order[head]]], pair_of[order[head:end]]
             users, positive, negative = table.users[run], table.positive[run], table.negative[run]
             ids = ",".join(["%d"] * positive.shape[1])
             write_rows(fh, f"%d\t+\t{ids}\n%d\t-\t{ids}", [users, positive, users, negative])
@@ -490,7 +488,7 @@ def load_paired_sets(path) -> list[PairedSets]:
     return _tables(chunks(), path)
 
 
-def _parse_block(lines: list[str], path) -> Iterator[tuple[np.ndarray, ...]]:
+def _parse_block(lines: list[str], path) -> list[tuple[np.ndarray, ...]]:
     """The (users, negative flags, item ids) chunks of a block of lines, one
     a width."""
     fields = "\t\n\t".join(lines).split("\t")  # "\n" closes each line
@@ -499,20 +497,15 @@ def _parse_block(lines: list[str], path) -> Iterator[tuple[np.ndarray, ...]]:
         raise ValueError(f"{path}: a line is not user<TAB>+|-<TAB>item ids")
     users = parse_int_rows(users, 1, path)[:, 0]
     negative = np.frombuffer("".join(signs).encode(), np.uint8) == ord("-")
-    # a block of one width, as most are, takes one parse, which checks every
-    # line's width; if that fails, the lines go by width
-    width = ids[0].count(",") + 1
-    if "".join(ids).count(",") == len(ids) * (width - 1):
-        with suppress(ValueError):
-            yield users, negative, parse_int_rows(ids, width, path)
-            return
     widths = np.fromiter(map(str.count, ids, repeat(",")), np.intp, len(ids)) + 1
+    chunks = []
     for width in np.unique(widths).tolist():
         rows = np.flatnonzero(widths == width)
         lines = [ids[i] for i in rows.tolist()]
         try:
-            yield users[rows], negative[rows], parse_int_rows(lines, width, path)
+            chunks.append((users[rows], negative[rows], parse_int_rows(lines, width, path)))
         except ValueError:
             for line, user in zip(lines, users[rows].tolist()):
                 parse_int_rows([line], width, f"{path}: user {user}")
             raise
+    return chunks

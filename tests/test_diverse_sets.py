@@ -449,6 +449,26 @@ class TestBuildPairedSets:
         assert np.array_equal(loaded[0].positive, pairs.positive)
         assert np.array_equal(loaded[0].negative, pairs.negative)
 
+    def test_dump_writes_every_pair_of_tables_out_of_user_order(self, tmp_path):
+        """Tables whose users do not ascend: every pair is written, in user
+        order, so the read gives the same pairs sorted by user."""
+        tables = [
+            PairedSets(np.array([2, 0]), np.array([[10], [11], [12], [13]])),
+            PairedSets(np.array([3, 1, 3]), np.arange(12).reshape(6, 2)),
+        ]
+        path = tmp_path / "sets.tsv"
+        dump_paired_sets(tables, path)
+        assert path.read_text().splitlines() == [
+            "0\t+\t12", "0\t-\t13",
+            "1\t+\t4,5", "1\t-\t6,7",
+            "2\t+\t10", "2\t-\t11",
+            "3\t+\t0,1", "3\t-\t2,3", "3\t+\t8,9", "3\t-\t10,11",
+        ]  # fmt: skip
+        narrow, wide = load_paired_sets(path)
+        assert narrow.users.tolist() == [0, 2] and narrow.sets.ravel().tolist() == [12, 13, 10, 11]
+        assert wide.users.tolist() == [1, 3, 3]
+        assert wide.sets.tolist() == tables[1].sets[[2, 3, 0, 1, 4, 5]].tolist()
+
 
 def _shares(categories):
     """The per-user float incidence product that `generate_diverse_sets`
