@@ -5,8 +5,9 @@ Each stage is resumable from the files the previous stage wrote.  The tables
 written for reading back (`split.tsv`, `instances.tsv`, `config_resolved.txt`,
 `kernel_objective.csv`, the train logs, the metric tables and the report
 files) start with a stamp line of the resolved-config hash and seed;
-`filtered.csv`, `split_manifest.tsv`, `diverse_sets.tsv`, `kernel.txt` and
-the scorer checkpoints carry none.
+`filtered.csv`, `split_manifest.tsv`, `diverse_sets.tsv`, `kernel.txt`,
+`kernel.bin`, and the scorer checkpoints `scorer_<loss>.txt` and
+`scorer_<loss>.bin` carry none.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure.

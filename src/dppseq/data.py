@@ -10,10 +10,14 @@ Timestamps order each user's sequence; ties keep input-file order.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import logging
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -412,40 +416,133 @@ def parse_int_rows(lines: Sequence[str], width: int, source) -> np.ndarray:
 def write_checkpoint(path, header: Sequence[int], arrays: Sequence[np.ndarray]) -> None:
     """The one text format of the kernel and scorer checkpoints: one integer
     per header line, which gives the shapes, then one line of `repr` floats
-    per row of each array, a 1-d array on a single line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(h)}\n" for h in header)
-        for array in arrays:
-            for row in np.atleast_2d(np.asarray(array, dtype=float)):
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+    per row of each array, a 1-d array on a single line.
+
+    Beside the text goes its binary twin, `path` with the suffix ".bin":
+    the sha256 of the text's bytes followed by the values' bytes, then the
+    values as little-endian float64, in the text's order."""
+    tables = [np.atleast_2d(np.asarray(array, dtype=float)) for array in arrays]
+    if any(table.ndim > 2 for table in tables):
+        raise ValueError("checkpoint arrays must have 1 or 2 dimensions")
+    twin = Path(path).with_suffix(".bin")
+    if twin == Path(path):
+        raise ValueError(f"{path}: a checkpoint's text may not end in .bin")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _text_blocks(header, tables):
+            block = text.encode()
+            digest.update(block)
+            fh.write(block)
+    values = [np.ascontiguousarray(table, dtype="<f8") for table in tables]
+    for block in values:
+        digest.update(block)
+    with open(twin, "wb") as fh:
+        fh.write(digest.digest())
+        for block in values:
+            fh.write(block)
+
+
+def _text_blocks(header: Sequence[int], tables: Sequence[np.ndarray]):
+    """The checkpoint text, the header first, then a block of rows of about
+    `WRITE_BLOCK_ROWS` values at a time."""
+    yield "".join(f"{int(h)}\n" for h in header)
+    for table in tables:
+        step = max(1, WRITE_BLOCK_ROWS // max(1, table.shape[1]))
+        for start in range(0, len(table), step):
+            rows = table[start : start + step].tolist()
+            yield "".join(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_checkpoint(
     path, n_header: int, shapes: Callable[[list[int]], Sequence[tuple[int, ...]]]
 ) -> tuple[list[int], list[np.ndarray]]:
     """The header and the arrays of a checkpoint, with `shapes(header)` the
-    shape of each array.  Raises ValueError when an array does not have its
-    shape, holds a blank line or a non-finite value, or when a line that is
-    not blank follows the last array."""
-    with open(path, encoding="utf-8") as fh:
-        header = [int(fh.readline()) for _ in range(n_header)]
-        arrays = []
-        for shape in shapes(header):
-            lines = [fh.readline() for _ in range(shape[0] if len(shape) == 2 else 1)]
-            # numpy's C reader skips blank lines, so a blank line fails the
-            # shape check; with no values at all, it would warn
-            if not any(map(str.strip, lines)):
-                raise ValueError(f"{path}: checkpoint shape does not match its header")
+    shape of each array.  Raises ValueError, naming `path`, when a header
+    line is not an integer, an array does not have its shape, holds a blank
+    line or a non-finite value, or when a line that is not blank follows the
+    last array.
+
+    The values come from the binary twin that `write_checkpoint` wrote when
+    its digest matches the text and the text holds exactly the lines of the
+    header's shapes, all finite; else from the text."""
+    text = Path(path).read_bytes()
+    with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8") as fh:
+        try:
+            header = [int(fh.readline()) for _ in range(n_header)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        array_shapes = [tuple(shape) for shape in shapes(header)]
+        arrays = _read_twin(path, text, n_header, array_shapes)
+        if arrays is None:
+            log.info("%s: its binary twin is missing, stale or refused; reading the text", path)
             try:
-                rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
-            except ValueError as exc:
+                arrays = _read_text(path, fh, array_shapes)
+            except UnicodeDecodeError as exc:  # past the block decoded with the header
                 raise ValueError(f"{path}: {exc}") from None
-            array = rows if len(shape) == 2 else rows[0]
-            if array.shape != tuple(shape):
-                raise ValueError(f"{path}: checkpoint shape does not match its header")
-            if not np.all(np.isfinite(array)):
-                raise ValueError(f"{path}: checkpoint holds non-finite values")
-            arrays.append(array)
-        if fh.read().strip():
-            raise ValueError(f"{path}: checkpoint holds lines past its last array")
     return header, arrays
+
+
+def _read_twin(path, text: bytes, n_header: int, shapes) -> list[np.ndarray] | None:
+    """The arrays of `shapes` from the binary twin of the checkpoint `text`,
+    or None unless the twin's digest matches and the text is what
+    `write_checkpoint` writes for arrays of `shapes`, all finite.  The text
+    path rejects every such text that this one refuses."""
+    if not shapes or any(len(shape) not in (1, 2) or min(shape) < 1 for shape in shapes):
+        return None
+    heights = [shape[0] if len(shape) == 2 else 1 for shape in shapes]
+    widths = [shape[-1] for shape in shapes]
+    sizes = [h * w for h, w in zip(heights, widths)]
+    try:
+        with open(Path(path).with_suffix(".bin"), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != 32 + 8 * sum(sizes):
+                return None
+            digest = fh.read(32)
+            values = np.empty(sum(sizes), dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                return None
+    except OSError:  # no twin, or one that cannot be read
+        return None
+    check = hashlib.sha256(text)
+    check.update(values)
+    if check.digest() != digest:
+        return None
+    # With the digest matching, `text` is the writer's: the header, then a
+    # line per row of floats with a space between each two.  So a line with
+    # its row's width less one spaces holds that row; a blank line has as
+    # many for a width of 1, but then the text holds fewer values than the
+    # twin.
+    body = np.frombuffer(text, dtype=np.uint8)
+    ends = np.r_[-1, np.flatnonzero(body == ord("\n"))][n_header:]  # the header's, then each row's
+    spaces = np.flatnonzero(body[ends[0] + 1 :] == ord(" ")) + ends[0] + 1
+    want = np.repeat(np.subtract(widths, 1), heights).cumsum()
+    if not np.array_equal(np.searchsorted(spaces, ends[1:]), want) or not np.all(
+        np.isfinite(values)
+    ):
+        return None
+    return [
+        part.reshape(shape) for part, shape in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)
+    ]
+
+
+def _read_text(path, fh, shapes) -> list[np.ndarray]:
+    """The arrays of `shapes` parsed from the text `fh` past its header."""
+    arrays = []
+    for shape in shapes:
+        lines = [fh.readline() for _ in range(shape[0] if len(shape) == 2 else 1)]
+        # numpy's C reader skips blank lines, so a blank line fails the
+        # shape check; with no values at all, it would warn
+        if not any(map(str.strip, lines)):
+            raise ValueError(f"{path}: checkpoint shape does not match its header")
+        try:
+            rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        array = rows if len(shape) == 2 else rows[0]
+        if array.shape != tuple(shape):
+            raise ValueError(f"{path}: checkpoint shape does not match its header")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{path}: checkpoint holds non-finite values")
+        arrays.append(array)
+    if fh.read().strip():
+        raise ValueError(f"{path}: checkpoint holds lines past its last array")
+    return arrays

@@ -420,7 +420,8 @@ def test_10_determinism(tmp_path):
             assert cli_main(base + ["evaluate", "--loss", loss_kind]) == 0
         return {
             name: (out / name).read_bytes()
-            for name in ("metrics_ce.csv", "metrics_cdsl.csv")
+            for name in ("metrics_ce.csv", "metrics_cdsl.csv", "kernel.bin", "scorer_ce.bin",
+                         "scorer_cdsl.bin")
         }
 
     first = run()

@@ -364,16 +364,21 @@ class TestExitCodes:
             ),
             pytest.param(lambda lines: ["0"] + lines[1:], id="zero_rows"),
             pytest.param(lambda lines: lines + lines[-1:], id="line_past_end"),
+            pytest.param(lambda lines: ["x"] + lines[1:], id="header_not_int"),
+            pytest.param(lambda lines: [], id="empty_file"),
         ],
     )
-    def test_bad_checkpoint_is_data_error(self, tmp_path, trained_ce, edit):
+    def test_bad_checkpoint_is_data_error(self, tmp_path, trained_ce, edit, capsys):
         out = tmp_path / "out"
         shutil.copytree(trained_ce, out)
         config = config_file(tmp_path, "unused.csv", out)
         assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 0
+        assert (out / "scorer_ce.bin").exists()  # so the edit leaves a stale twin
         lines = (out / "scorer_ce.txt").read_text().splitlines()
-        (out / "scorer_ce.txt").write_text("\n".join(edit(lines)) + "\n")
+        (out / "scorer_ce.txt").write_text("".join(line + "\n" for line in edit(lines)))
+        capsys.readouterr()
         assert main(["--config", str(config), "evaluate", "--loss", "ce"]) == 3
+        assert str(out / "scorer_ce.txt") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",
@@ -574,7 +579,7 @@ class TestPipeline:
 
     def test_later_stages_need_no_filtered_csv(self, tmp_path, small_dataset):
         out = self.run_all(tmp_path, small_dataset, "run")
-        first = {p.name: p.read_text() for p in out.iterdir()}
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
         shutil.rmtree(out)
         config = ["--config", str(tmp_path / "config.txt")]
         assert main(config + ["prepare"]) == 0
@@ -584,16 +589,36 @@ class TestPipeline:
         for loss in ("ce", "cdsl"):
             assert main(config + ["train", "--loss", loss]) == 0, loss
             assert main(config + ["evaluate", "--loss", loss]) == 0, loss
-        again = {p.name: p.read_text() for p in out.iterdir()}
+        again = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(again) == set(first) - {"filtered.csv", "report.csv", "efficiency.csv",
                                            "validation_curves.csv"}
         for name, text in again.items():
             if name.startswith("train_log_"):  # all but the seconds column
-                assert [ln.rsplit(",", 1)[0] for ln in text.splitlines()] == [
-                    ln.rsplit(",", 1)[0] for ln in first[name].splitlines()
+                assert [ln.rsplit(b",", 1)[0] for ln in text.splitlines()] == [
+                    ln.rsplit(b",", 1)[0] for ln in first[name].splitlines()
                 ], name
             else:
                 assert text == first[name], name
+
+    def test_checkpoints_load_without_parsing_their_text(
+        self, tmp_path, generated_sets, monkeypatch
+    ):
+        # a load that fell back to the text would pass every other test, and
+        # show only as a slower benchmark
+        from dppseq.kernel_learning import load_kernel
+
+        out = tmp_path / "out"
+        shutil.copytree(generated_sets, out)
+        config = ["--config", str(config_file(tmp_path, "unused.csv", out))]
+        for stage in (["train-kernel"], ["train", "--loss", "cdsl"]):
+            assert main(config + stage) == 0, stage
+
+        def refuse(*args, **kwargs):
+            raise ValueError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert main(config + ["evaluate", "--loss", "cdsl"]) == 0
+        assert load_kernel(out / "kernel.txt").factors.shape[1] == 8
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 10])
     def test_rows_written_by_blocks(self, tmp_path, monkeypatch, n_rows):
@@ -630,7 +655,8 @@ class TestPipeline:
     def test_byte_identical_across_runs(self, tmp_path, small_dataset):
         # same out directory so the config stamp matches too
         out = self.run_all(tmp_path, small_dataset, "run")
-        names = ("metrics_ce.csv", "metrics_cdsl.csv", "report.csv")
+        names = ("metrics_ce.csv", "metrics_cdsl.csv", "report.csv", "kernel.bin",
+                 "scorer_ce.bin", "scorer_cdsl.bin")
         first = {name: (out / name).read_bytes() for name in names}
         self.run_all(tmp_path, small_dataset, "run")
         for name in names:

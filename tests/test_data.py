@@ -1,11 +1,17 @@
 """Ingestion, k-core filtering, temporal splits, instance generation, and
 the checkpoint and integer-table text formats."""
 
+import contextlib
+import hashlib
+import logging
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dppseq import data
 from dppseq.data import (
@@ -412,6 +418,9 @@ class TestCheckpoint:
         want += [" ".join(repr(float(v)) for v in row) for row in random]
         want += [" ".join(repr(float(v)) for v in fixed)]
         assert path.read_text() == "\n".join(want) + "\n"
+        values = random.tobytes() + fixed.tobytes()
+        digest = hashlib.sha256(path.read_bytes() + values).digest()
+        assert path.with_suffix(".bin").read_bytes() == digest + values
         header, (table, line) = read_checkpoint(path, 3, lambda h: [(h[0], h[1]), (h[2],)])
         assert header == [990, 100, len(fixed)]
         assert table.view(np.uint64).tolist() == random.view(np.uint64).tolist()
@@ -439,6 +448,8 @@ class TestCheckpoint:
             pytest.param("0\n3\n\n", id="zero_rows_blank"),
             pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n6.0 7.0 8.0\n", id="line_past_end"),
             pytest.param("2\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n\nx\n", id="text_past_end"),
+            pytest.param("x\n3\n0.0 1.0 2.0\n3.0 4.0 5.0\n", id="header_not_int"),
+            pytest.param("", id="empty_file"),
         ],
     )
     def test_rejected(self, tmp_path, text):
@@ -448,3 +459,115 @@ class TestCheckpoint:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 read_checkpoint(path, 2, kernel_shapes)
+
+    def test_bytes_past_the_header_block_not_utf8(self, tmp_path):
+        path = tmp_path / "c.txt"
+        write_checkpoint(path, [400, 10], [np.ones((400, 10)) / 3])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_checkpoint(path, 2, kernel_shapes)
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "text_value_edited",
+            "twin_byte_flipped",
+            "twin_truncated",
+            "twin_lengthened",
+            "twin_missing",
+        ],
+    )
+    def test_stale_twin_falls_back_to_the_text(self, tmp_path, caplog, stale):
+        path, twin = tmp_path / "c.txt", tmp_path / "c.bin"
+        table = np.arange(6.0).reshape(2, 3) / 7
+        write_checkpoint(path, [2, 3], [table])
+        want = table.copy()
+        if stale == "text_value_edited":
+            want[1, 2] = 2.5
+            path.write_text(path.read_text().replace(repr(float(table[1, 2])), "2.5"))
+        elif stale == "twin_byte_flipped":
+            blob = bytearray(twin.read_bytes())
+            blob[-3] ^= 0x10
+            twin.write_bytes(blob)
+        elif stale == "twin_truncated":
+            twin.write_bytes(twin.read_bytes()[:-8])
+        elif stale == "twin_lengthened":
+            twin.write_bytes(twin.read_bytes() + bytes(8))
+        else:
+            twin.unlink()
+        with caplog.at_level(logging.INFO, logger="dppseq.data"):
+            _, (got,) = read_checkpoint(path, 2, kernel_shapes)
+        assert got.tobytes() == want.tobytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: its binary twin is missing, stale or refused; reading the text"
+        ]
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, np.nan, np.inf, -np.inf]
+SHAPES = st.tuples(st.integers(0, 3), st.integers(0, 4)) | st.tuples(st.integers(0, 4))
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """One to three arrays of 0 to 3 rows or of one dimension, of any finite
+    float64 bit pattern with -0.0, subnormals, nan and inf among them, and
+    the shapes their header gives: theirs, transposed, or any others."""
+    shapes = draw(st.lists(SHAPES, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for shape in shapes:
+        array = rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
+        array[~np.isfinite(array)] = 1.0
+        for value in draw(st.lists(st.sampled_from(SPECIAL_VALUES), max_size=2)):
+            if array.size:
+                array.flat[rng.integers(array.size)] = value
+        arrays.append(array)
+    other = st.tuples(st.integers(-1, 4), st.integers(-1, 4)) | st.tuples(st.integers(-1, 4))
+    claimed = draw(
+        st.just(shapes)
+        | st.sampled_from([[s[::-1] for s in shapes], shapes[::-1]])
+        | st.lists(other, min_size=1, max_size=3)
+    )
+    return arrays, claimed
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+def read_outcome(path, claimed):
+    """What `read_checkpoint` gives for arrays of the ranks in `claimed`:
+    the header and each array's shape and bytes, or the error message."""
+
+    def shapes(header):
+        dims = iter(header)
+        return [tuple(next(dims) for _ in shape) for shape in claimed]
+
+    try:
+        header, arrays = read_checkpoint(path, sum(map(len, claimed)), shapes)
+    except ValueError as exc:
+        return str(exc)
+    return header, [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=checkpoint_cases())
+@example(case=([np.arange(6.0).reshape(2, 3)], [(3, 2)]))
+# as many lines and values as the arrays written, in other widths
+@example(case=([np.arange(4.0).reshape(2, 2), np.arange(4.0)], [(2, 3), (2,)]))
+def test_twin_reads_as_the_text(checkpoint_dir, case):
+    """The twin gives what the text gives, bit for bit, or the same error;
+    and it is read without the text's parse whenever the header gives the
+    arrays' own shapes, none of them empty, and every value is finite."""
+    arrays, claimed = case
+    path = checkpoint_dir / "c.txt"
+    write_checkpoint(path, [d for shape in claimed for d in shape], arrays)
+    clean = [a.shape for a in arrays] == [tuple(s) for s in claimed] and all(
+        a.size and np.all(np.isfinite(a)) for a in arrays
+    )
+    refuse = mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed the text"))
+    with refuse if clean else contextlib.nullcontext():
+        with_twin = read_outcome(path, claimed)
+    path.with_suffix(".bin").unlink()
+    assert with_twin == read_outcome(path, claimed)
